@@ -105,7 +105,8 @@ type Options struct {
 }
 
 // Approximation is the uniform result of a run. Exactly one of LU, QB,
-// UBV, SVD is non-nil depending on the method.
+// UBV, SVD, RS, ARRF and CUR is non-nil depending on the method;
+// Factors lists its factors.
 type Approximation struct {
 	Method Method
 
@@ -117,7 +118,7 @@ type Approximation struct {
 	Converged    bool
 	ErrHistory   []float64
 
-	// NNZFactors counts the stored entries of the produced factors:
+	// NNZFactors counts the stored entries of the factors Factors lists:
 	// nnz(L)+nnz(U) for the deterministic methods, the dense element
 	// count of the Q/B (resp. U/B/V) factors for the randomized ones.
 	NNZFactors int
@@ -154,13 +155,7 @@ func (ap *Approximation) TrueError(a *sparse.CSR) float64 {
 	case ap.UBV != nil:
 		return randubv.TrueError(a, ap.UBV)
 	case ap.SVD != nil:
-		us := ap.SVD.U.Clone()
-		for j := 0; j < len(ap.SVD.S); j++ {
-			for i := 0; i < us.Rows; i++ {
-				us.Set(i, j, us.At(i, j)*ap.SVD.S[j])
-			}
-		}
-		return a.ResidualFrobNorm(us, ap.SVD.V.T())
+		return a.ResidualFrobNorm(mat.ScaleCols(ap.SVD.U, ap.SVD.S), ap.SVD.V.T())
 	case ap.RS != nil:
 		return rsvd.TrueError(a, ap.RS)
 	case ap.ARRF != nil:
@@ -217,58 +212,70 @@ func Approximate(a *sparse.CSR, opts Options) (*Approximation, error) {
 		return approximateDist(a, opts)
 	}
 	start := time.Now()
+	ap, err := solve(a, opts, nil)
+	if err != nil {
+		return nil, err
+	}
+	ap.WallTime = time.Since(start)
+	return ap, nil
+}
+
+// solve runs the selected method once: sequentially when c is nil,
+// otherwise as rank c of a distributed run (the DistCapable methods
+// only). It is the one dispatch over methods; the run summary and the
+// factor entry count are filled from the method's result in one step.
+func solve(a *sparse.CSR, opts Options, c *dist.Comm) (*Approximation, error) {
 	ap := &Approximation{Method: opts.Method}
 	switch opts.Method {
 	case RandQBEI:
-		r, err := randqb.Factor(a, randqb.Options{
+		o := randqb.Options{
 			BlockSize: opts.BlockSize, Tol: opts.Tol, Power: opts.Power,
 			MaxRank: opts.MaxRank, Seed: opts.Seed,
 			Sketch: opts.Sketch, SketchNNZ: opts.SketchNNZ,
-		})
+			CheckpointEvery: opts.CheckpointEvery, Checkpoint: opts.CheckpointStore,
+		}
+		r, err := runOn(c, a, o, randqb.Factor, randqb.FactorDist)
 		if err != nil {
 			return nil, err
 		}
 		ap.QB = r
-		ap.Rank, ap.Iters, ap.NormA = r.Rank, r.Iters, r.NormA
-		ap.ErrIndicator, ap.Converged, ap.ErrHistory = r.ErrIndicator, r.Converged, r.ErrHistory
-		ap.NNZFactors = r.Q.Rows*r.Q.Cols + r.B.Rows*r.B.Cols
+		ap.record(r.Rank, r.Iters, r.NormA, r.ErrIndicator, r.Converged, r.ErrHistory)
 	case RandUBV:
-		r, err := randubv.Factor(a, randubv.Options{
+		o := randubv.Options{
 			BlockSize: opts.BlockSize, Tol: opts.Tol, MaxRank: opts.MaxRank, Seed: opts.Seed,
 			Sketch: opts.Sketch, SketchNNZ: opts.SketchNNZ,
-		})
+			CheckpointEvery: opts.CheckpointEvery, Checkpoint: opts.CheckpointStore,
+		}
+		r, err := runOn(c, a, o, randubv.Factor, randubv.FactorDist)
 		if err != nil {
 			return nil, err
 		}
 		ap.UBV = r
-		ap.Rank, ap.Iters, ap.NormA = r.Rank, r.Iters, r.NormA
-		ap.ErrIndicator, ap.Converged, ap.ErrHistory = r.ErrIndicator, r.Converged, r.ErrHistory
-		ap.NNZFactors = r.U.Rows*r.U.Cols + r.B.Rows*r.B.Cols + r.V.Rows*r.V.Cols
+		ap.record(r.Rank, r.Iters, r.NormA, r.ErrIndicator, r.Converged, r.ErrHistory)
 	case LUCRTP, ILUTCRTP:
-		lopts := lucrtp.Options{
+		o := lucrtp.Options{
 			BlockSize: opts.BlockSize, Tol: opts.Tol, MaxRank: opts.MaxRank,
 			EstIters: opts.EstIters, Mu: opts.Mu, Reorder: opts.Reorder,
 			Tree: opts.Tree, StableL: opts.StableL, DiscardTol: opts.DiscardTol,
 			StopAtNumericalRank: opts.StopAtNumericalRank,
+			CheckpointEvery:     opts.CheckpointEvery, Checkpoint: opts.CheckpointStore,
 		}
 		if opts.Method == ILUTCRTP {
 			switch {
 			case opts.Aggressive:
-				lopts.Threshold = lucrtp.AggressiveThreshold
+				o.Threshold = lucrtp.AggressiveThreshold
 			case opts.Mu > 0:
-				lopts.Threshold = lucrtp.FixedThreshold
+				o.Threshold = lucrtp.FixedThreshold
 			default:
-				lopts.Threshold = lucrtp.AutoThreshold
+				o.Threshold = lucrtp.AutoThreshold
 			}
 		}
-		r, err := lucrtp.Factor(a, lopts)
+		r, err := runOn(c, a, o, lucrtp.Factor, lucrtp.FactorDist)
 		if err != nil {
 			return nil, err
 		}
 		ap.LU = r
-		ap.Rank, ap.Iters, ap.NormA = r.Rank, r.Iters, r.NormA
-		ap.ErrIndicator, ap.Converged, ap.ErrHistory = r.ErrIndicator, r.Converged, r.ErrHistory
-		ap.NNZFactors = r.NNZFactors()
+		ap.record(r.Rank, r.Iters, r.NormA, r.ErrIndicator, r.Converged, r.ErrHistory)
 	case TSVD:
 		var r *tsvd.Result
 		var err error
@@ -281,10 +288,7 @@ func Approximate(a *sparse.CSR, opts Options) (*Approximation, error) {
 			return nil, err
 		}
 		ap.SVD = r
-		ap.Rank, ap.NormA = r.Rank, r.NormA
-		ap.ErrIndicator = r.TailNorm
-		ap.Converged = opts.Tol > 0 && r.TailNorm < opts.Tol*r.NormA
-		ap.NNZFactors = r.U.Rows*r.U.Cols + len(r.S) + r.V.Rows*r.V.Cols
+		ap.record(r.Rank, 0, r.NormA, r.TailNorm, opts.Tol > 0 && r.TailNorm < opts.Tol*r.NormA, nil)
 	case RSVDRestart:
 		r, err := rsvd.Factor(a, rsvd.Options{
 			InitialRank: opts.BlockSize, Tol: opts.Tol, Power: opts.Power,
@@ -295,9 +299,7 @@ func Approximate(a *sparse.CSR, opts Options) (*Approximation, error) {
 			return nil, err
 		}
 		ap.RS = r
-		ap.Rank, ap.Iters, ap.NormA = r.Rank, r.Restarts, r.NormA
-		ap.ErrIndicator, ap.Converged = r.ErrIndicator, r.Converged
-		ap.NNZFactors = r.U.Rows*r.U.Cols + len(r.S) + r.V.Rows*r.V.Cols
+		ap.record(r.Rank, r.Restarts, r.NormA, r.ErrIndicator, r.Converged, nil)
 	case ARRF:
 		r, err := arrf.Factor(a, arrf.Options{
 			Tol: opts.Tol, RelativeToFrob: true,
@@ -308,9 +310,7 @@ func Approximate(a *sparse.CSR, opts Options) (*Approximation, error) {
 			return nil, err
 		}
 		ap.ARRF = r
-		ap.Rank, ap.Iters, ap.NormA = r.Rank, r.Probes, r.NormA
-		ap.ErrIndicator, ap.Converged = r.ErrBound, r.Converged
-		ap.NNZFactors = r.Q.Rows * r.Q.Cols
+		ap.record(r.Rank, r.Probes, r.NormA, r.ErrBound, r.Converged, nil)
 	case CUR, TwoSidedID, ACA:
 		variant := cur.CUR
 		switch opts.Method {
@@ -328,14 +328,31 @@ func Approximate(a *sparse.CSR, opts Options) (*Approximation, error) {
 			return nil, err
 		}
 		ap.CUR = r
-		ap.Rank, ap.Iters, ap.NormA = r.Rank, r.Iters, r.NormA
-		ap.ErrIndicator, ap.Converged, ap.ErrHistory = r.ErrIndicator, r.Converged, r.ErrHistory
-		ap.NNZFactors = r.NNZFactors()
+		ap.record(r.Rank, r.Iters, r.NormA, r.ErrIndicator, r.Converged, r.ErrHistory)
 	default:
 		return nil, fmt.Errorf("core: unknown method %v", opts.Method)
 	}
-	ap.WallTime = time.Since(start)
+	for _, f := range ap.Factors() {
+		ap.NNZFactors += f.entries()
+	}
 	return ap, nil
+}
+
+// runOn calls the sequential solver when c is nil and the distributed
+// one on rank c otherwise.
+func runOn[O, R any](c *dist.Comm, a *sparse.CSR, o O,
+	seq func(*sparse.CSR, O) (R, error),
+	par func(*dist.Comm, *sparse.CSR, O) (R, error)) (R, error) {
+	if c == nil {
+		return seq(a, o)
+	}
+	return par(c, a, o)
+}
+
+// record stores a solver's run summary.
+func (ap *Approximation) record(rank, iters int, normA, errIndicator float64, converged bool, errHistory []float64) {
+	ap.Rank, ap.Iters, ap.NormA = rank, iters, normA
+	ap.ErrIndicator, ap.Converged, ap.ErrHistory = errIndicator, converged, errHistory
 }
 
 // FailureClass partitions the errors a run can produce into the
@@ -424,89 +441,26 @@ func approximateDist(a *sparse.CSR, opts Options) (*Approximation, error) {
 	if opts.DistConfig != nil {
 		cfg = *opts.DistConfig
 	}
-	ap := &Approximation{Method: opts.Method}
-	start := time.Now()
-	var innerErr error
-	var res *dist.Result
-	switch opts.Method {
-	case RandQBEI:
-		res, innerErr = dist.RunE(opts.Procs, cfg, func(c *dist.Comm) error {
-			r, err := randqb.FactorDist(c, a, randqb.Options{
-				BlockSize: opts.BlockSize, Tol: opts.Tol, Power: opts.Power,
-				MaxRank: opts.MaxRank, Seed: opts.Seed,
-				Sketch: opts.Sketch, SketchNNZ: opts.SketchNNZ,
-				CheckpointEvery: opts.CheckpointEvery, Checkpoint: opts.CheckpointStore,
-			})
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				ap.QB = r
-				ap.Rank, ap.Iters, ap.NormA = r.Rank, r.Iters, r.NormA
-				ap.ErrIndicator, ap.Converged, ap.ErrHistory = r.ErrIndicator, r.Converged, r.ErrHistory
-				ap.NNZFactors = r.Q.Rows*r.Q.Cols + r.B.Rows*r.B.Cols
-			}
-			return nil
-		})
-	case LUCRTP, ILUTCRTP:
-		lopts := lucrtp.Options{
-			BlockSize: opts.BlockSize, Tol: opts.Tol, MaxRank: opts.MaxRank,
-			EstIters: opts.EstIters, Mu: opts.Mu, Reorder: opts.Reorder,
-			Tree: opts.Tree, StableL: opts.StableL, DiscardTol: opts.DiscardTol,
-			StopAtNumericalRank: opts.StopAtNumericalRank,
-		}
-		if opts.Method == ILUTCRTP {
-			switch {
-			case opts.Aggressive:
-				lopts.Threshold = lucrtp.AggressiveThreshold
-			case opts.Mu > 0:
-				lopts.Threshold = lucrtp.FixedThreshold
-			default:
-				lopts.Threshold = lucrtp.AutoThreshold
-			}
-		}
-		lopts.CheckpointEvery = opts.CheckpointEvery
-		lopts.Checkpoint = opts.CheckpointStore
-		res, innerErr = dist.RunE(opts.Procs, cfg, func(c *dist.Comm) error {
-			r, err := lucrtp.FactorDist(c, a, lopts)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				ap.LU = r
-				ap.Rank, ap.Iters, ap.NormA = r.Rank, r.Iters, r.NormA
-				ap.ErrIndicator, ap.Converged, ap.ErrHistory = r.ErrIndicator, r.Converged, r.ErrHistory
-				ap.NNZFactors = r.NNZFactors()
-			}
-			return nil
-		})
-	case RandUBV:
-		res, innerErr = dist.RunE(opts.Procs, cfg, func(c *dist.Comm) error {
-			r, err := randubv.FactorDist(c, a, randubv.Options{
-				BlockSize: opts.BlockSize, Tol: opts.Tol,
-				MaxRank: opts.MaxRank, Seed: opts.Seed,
-				Sketch: opts.Sketch, SketchNNZ: opts.SketchNNZ,
-				CheckpointEvery: opts.CheckpointEvery, Checkpoint: opts.CheckpointStore,
-			})
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				ap.UBV = r
-				ap.Rank, ap.Iters, ap.NormA = r.Rank, r.Iters, r.NormA
-				ap.ErrIndicator, ap.Converged, ap.ErrHistory = r.ErrIndicator, r.Converged, r.ErrHistory
-				ap.NNZFactors = r.U.Rows*r.U.Cols + r.B.Rows*r.B.Cols + r.V.Rows*r.V.Cols
-			}
-			return nil
-		})
-	default:
+	if !opts.Method.DistCapable() {
 		if _, ok := methodInfo(opts.Method); !ok {
 			return nil, fmt.Errorf("core: unknown method %v", opts.Method)
 		}
 		return nil, fmt.Errorf("core: %v has no distributed implementation; use Procs ≤ 1", opts.Method)
 	}
-	if innerErr != nil {
-		return nil, innerErr
+	start := time.Now()
+	var ap *Approximation
+	res, err := dist.RunE(opts.Procs, cfg, func(c *dist.Comm) error {
+		r, err := solve(a, opts, c)
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			ap = r
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	ap.WallTime = time.Since(start)
 	ap.Dist = res

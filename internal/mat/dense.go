@@ -184,6 +184,20 @@ func (d *Dense) Scale(s float64) {
 	}
 }
 
+// ScaleCols returns a compact copy of d with column j multiplied by s[j]
+// (U·diag(S) for the thin SVD factors); columns past len(s) are copied
+// unscaled.
+func ScaleCols(d *Dense, s []float64) *Dense {
+	out := d.Clone()
+	for i := 0; i < out.Rows; i++ {
+		row := out.Row(i)
+		for j, v := range s {
+			row[j] *= v
+		}
+	}
+	return out
+}
+
 // Add accumulates src into d element-wise (d += src).
 func (d *Dense) Add(src *Dense) {
 	if d.Rows != src.Rows || d.Cols != src.Cols {

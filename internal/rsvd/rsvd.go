@@ -54,26 +54,14 @@ type Result struct {
 
 // Approx reconstructs U·diag(S)·Vᵀ.
 func (r *Result) Approx() *mat.Dense {
-	us := r.U.Clone()
-	for j := 0; j < len(r.S); j++ {
-		for i := 0; i < us.Rows; i++ {
-			us.Set(i, j, us.At(i, j)*r.S[j])
-		}
-	}
-	return mat.MulBT(us, r.V)
+	return mat.MulBT(mat.ScaleCols(r.U, r.S), r.V)
 }
 
 // TrueError computes ‖A − U·S·Vᵀ‖_F exactly by streaming the CSR rows of
 // A against the compact factors L = U·diag(S) and R = Vᵀ — A is never
 // densified.
 func TrueError(a *sparse.CSR, r *Result) float64 {
-	us := r.U.Clone()
-	for j := 0; j < len(r.S); j++ {
-		for i := 0; i < us.Rows; i++ {
-			us.Set(i, j, us.At(i, j)*r.S[j])
-		}
-	}
-	return a.ResidualFrobNorm(us, r.V.T())
+	return a.ResidualFrobNorm(mat.ScaleCols(r.U, r.S), r.V.T())
 }
 
 // Factor runs the restart loop on a.

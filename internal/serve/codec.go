@@ -55,9 +55,11 @@ func EncodeApproximation(w io.Writer, ap *core.Approximation) error {
 }
 
 // DecodeApproximation reads one framed approximation, verifying the
-// magic, length and checksum before gob-decoding. Every corruption mode
-// — truncation, a bad length, flipped payload bits — returns an error
-// rather than a malformed result.
+// magic, length and checksum before gob-decoding and the factors'
+// structure (core.Approximation.Validate) after. Every corruption mode
+// — truncation, a bad length, flipped payload bits, a well-checksummed
+// frame whose factors claim more entries than they hold — returns an
+// error rather than a malformed result.
 func DecodeApproximation(r io.Reader) (*core.Approximation, error) {
 	var hdr [len(cacheMagic) + sha256.Size + 8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -81,6 +83,9 @@ func DecodeApproximation(r io.Reader) (*core.Approximation, error) {
 	ap := &core.Approximation{}
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(ap); err != nil {
 		return nil, fmt.Errorf("serve: decoding approximation: %w", err)
+	}
+	if err := ap.Validate(); err != nil {
+		return nil, fmt.Errorf("serve: invalid approximation: %w", err)
 	}
 	return ap, nil
 }

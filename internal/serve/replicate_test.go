@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,7 @@ import (
 
 	"sparselr/internal/core"
 	"sparselr/internal/dist"
+	"sparselr/internal/mat"
 )
 
 // TestCachePutEndpoint drives PUT /v1/cache/{key} through the HTTP
@@ -90,6 +92,64 @@ func TestCachePutEndpoint(t *testing.T) {
 	srv.metrics.mu.Unlock()
 	if stores != 1 || rejects != 3 {
 		t.Fatalf("replica store counters = %d/%d, want 1 accepted, 3 rejected", stores, rejects)
+	}
+}
+
+// TestMalformedFactorFrameRejected: a frame whose checksum is valid but
+// whose QB claims a 1000×4 Q holding only 3 values used to decode
+// cleanly, be costed as a full 1000×4 panel and panic the factor export
+// with an index out of range. Decode now rejects it, so PUT answers 400
+// and a copy planted on disk is dropped by the boot scan.
+func TestMalformedFactorFrameRejected(t *testing.T) {
+	ap := testAp(5)
+	ap.QB.Q = &mat.Dense{Rows: 1000, Cols: 4, Stride: 4, Data: []float64{1, 2, 3}}
+	var frame bytes.Buffer
+	if err := EncodeApproximation(&frame, ap); err != nil {
+		t.Fatal(err)
+	}
+	_, err := DecodeApproximation(bytes.NewReader(frame.Bytes()))
+	if err == nil || !strings.Contains(err.Error(), "holds only 3 values") {
+		t.Fatalf("malformed frame decode error = %v, want a structural rejection", err)
+	}
+
+	dir := t.TempDir()
+	disk, err := OpenDiskCache(dir, 1<<20, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(Config{Workers: 1, QueueDepth: 4, Disk: disk})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	key := testKey(9)
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/cache/"+key, bytes.NewReader(frame.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("PUT malformed frame = %d, want 400", resp.StatusCode)
+	}
+	if _, ok := srv.cache.Get(key); ok {
+		t.Fatal("malformed frame reached the memory tier")
+	}
+	if _, ok := disk.ReadFrame(key); ok {
+		t.Fatal("malformed frame reached the disk tier")
+	}
+
+	// The same bytes planted on disk (an older writer, bit-exact
+	// corruption under a valid checksum) are dropped when the tier opens.
+	disk.PutFrame(key, frame.Bytes())
+	reopened, err := OpenDiskCache(dir, 1<<20, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := reopened.Get(key); ok {
+		t.Fatal("malformed frame served from disk after restart")
 	}
 }
 

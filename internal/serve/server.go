@@ -13,8 +13,6 @@ import (
 	"time"
 
 	"sparselr/internal/core"
-	"sparselr/internal/mat"
-	"sparselr/internal/sparse"
 )
 
 // Config sizes a Server. Zero values get the SchedulerConfig defaults
@@ -584,80 +582,29 @@ func writeError(w http.ResponseWriter, code int, err error) {
 // writeFactor serializes one factor of a completed approximation as
 // JSON ({"rows","cols","data"} row-major, or {"values"} for the
 // singular-value vector) or MatrixMarket (coordinate for the sparse
-// L/U factors, dense array format otherwise).
+// L/U and C/R factors, dense array format otherwise).
 func writeFactor(w http.ResponseWriter, ap *core.Approximation, name, format string) error {
 	if format != "json" && format != "mm" {
 		return fmt.Errorf("serve: unknown factor format %q (want json or mm)", format)
 	}
-	var d *mat.Dense
-	var csr *sparse.CSR
-	var vec []float64
-	switch {
-	case ap.LU != nil:
-		switch name {
-		case "L":
-			csr = ap.LU.L
-		case "U":
-			csr = ap.LU.U
-		}
-	case ap.QB != nil:
-		switch name {
-		case "Q":
-			d = ap.QB.Q
-		case "B":
-			d = ap.QB.B
-		}
-	case ap.UBV != nil:
-		switch name {
-		case "U":
-			d = ap.UBV.U
-		case "B":
-			d = ap.UBV.B
-		case "V":
-			d = ap.UBV.V
-		}
-	case ap.SVD != nil:
-		switch name {
-		case "U":
-			d = ap.SVD.U
-		case "S":
-			vec = ap.SVD.S
-		case "V":
-			d = ap.SVD.V
-		}
-	case ap.RS != nil:
-		switch name {
-		case "U":
-			d = ap.RS.U
-		case "S":
-			vec = ap.RS.S
-		case "V":
-			d = ap.RS.V
-		}
-	case ap.ARRF != nil:
-		if name == "Q" {
-			d = ap.ARRF.Q
-		}
-	case ap.CUR != nil:
-		switch name {
-		case "C":
-			csr = ap.CUR.C
-		case "U":
-			d = ap.CUR.U
-		case "R":
-			csr = ap.CUR.R
+	var f core.Factor
+	for _, g := range ap.Factors() {
+		if g.Name == name {
+			f = g
+			break
 		}
 	}
-	if d == nil && csr == nil && vec == nil {
+	if f.Name == "" {
 		return fmt.Errorf("serve: method %s has no factor %q (available: %v)",
 			ap.Method, name, factorNames(ap))
 	}
+	d, vec := f.Dense, f.Vec
 	switch {
-	case csr != nil && format == "mm":
+	case f.CSR != nil && format == "mm":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		return csr.WriteMatrixMarket(w)
-	case csr != nil:
-		d = csr.ToDense()
+		return f.CSR.WriteMatrixMarket(w)
+	case f.CSR != nil:
+		d = f.CSR.ToDense()
 	case vec != nil:
 		if format == "mm" {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")

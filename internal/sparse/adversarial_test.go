@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -115,6 +116,25 @@ func TestAdversarialSpGEMMBitwise(t *testing.T) {
 				withMaxProcs(p, func() { got = SpGEMM(a, b) })
 				if !csrBitwiseEqual(serial, got) {
 					t.Fatalf("GOMAXPROCS=%d: SpGEMM differs from serial", p)
+				}
+			}
+		})
+	}
+}
+
+func TestAdversarialResidualFrobNormBitwise(t *testing.T) {
+	for _, tc := range adversarialCases {
+		t.Run(tc.name, func(t *testing.T) {
+			a := tc.gen(109)
+			l := randDense(a.Rows, 8, 15)
+			r := randDense(8, a.Cols, 17)
+			var serial float64
+			withMaxProcs(1, func() { serial = a.ResidualFrobNorm(l, r) })
+			for _, p := range adversarialProcs {
+				var got float64
+				withMaxProcs(p, func() { got = a.ResidualFrobNorm(l, r) })
+				if math.Float64bits(got) != math.Float64bits(serial) {
+					t.Fatalf("GOMAXPROCS=%d: ResidualFrobNorm %.17g differs from serial %.17g", p, got, serial)
 				}
 			}
 		})

@@ -183,6 +183,11 @@ func (a *CSR) Transpose() *CSR {
 const (
 	spmmParallelThreshold   = 1 << 15
 	spgemmParallelThreshold = 1 << 16
+	// residualBlock is the fixed row block of the ResidualFrobNorm
+	// reduction. It must not depend on GOMAXPROCS: the block partials
+	// are summed in block order, so a constant block makes the serial
+	// and parallel sums the same floating-point expression.
+	residualBlock = 64
 	// spmmColBlockMin / spmmCacheBudget shape the MulDense column
 	// blocking: when a pass over all of B would stream more than the
 	// budget, B is processed in column blocks sized to fit it (never
@@ -396,9 +401,10 @@ func (a *CSR) MulVec(x []float64) []float64 {
 // ResidualFrobNorm returns ‖A − L·R‖_F for dense factors L (m×k) and
 // R (k×n) without densifying A: each CSR row is streamed against the
 // corresponding row of the factor product, so peak memory is O(n) per
-// worker instead of the O(m·n) an explicit residual would need. Large
-// residuals run row-parallel with per-chunk partial sums reduced in chunk
-// order (deterministic for a fixed GOMAXPROCS).
+// worker instead of the O(m·n) an explicit residual would need. The
+// squared sum is reduced over fixed blocks of residualBlock rows whose
+// partials are added in block order; large residuals compute the blocks
+// in parallel, so the result is bitwise identical at every GOMAXPROCS.
 func (a *CSR) ResidualFrobNorm(l, r *mat.Dense) float64 {
 	if l.Rows != a.Rows || r.Cols != a.Cols || l.Cols != r.Rows {
 		panic("sparse: ResidualFrobNorm dimension mismatch")
@@ -434,22 +440,29 @@ func (a *CSR) ResidualFrobNorm(l, r *mat.Dense) float64 {
 		}
 		return s
 	}
+	nblocks := (a.Rows + residualBlock - 1) / residualBlock
+	blockSum := func(b int, row []float64) float64 {
+		lo := b * residualBlock
+		return rowSums(lo, min(lo+residualBlock, a.Rows), row)
+	}
+	var total float64
 	work := a.Rows * a.Cols * l.Cols
 	if work < spmmParallelThreshold || runtime.GOMAXPROCS(0) < 2 {
 		buf := mat.GetScratch(a.Cols)
-		s := rowSums(0, a.Rows, *buf)
+		for b := 0; b < nblocks; b++ {
+			total += blockSum(b, *buf)
+		}
 		mat.PutScratch(buf)
-		return math.Sqrt(s)
+		return math.Sqrt(total)
 	}
-	grain := mat.ChunkGrain(a.Rows)
-	nchunks := (a.Rows + grain - 1) / grain
-	partials := make([]float64, nchunks)
-	mat.ParallelFor(a.Rows, grain, func(lo, hi int) {
+	partials := make([]float64, nblocks)
+	mat.ParallelFor(nblocks, 1, func(lo, hi int) {
 		buf := mat.GetScratch(a.Cols)
-		partials[lo/grain] = rowSums(lo, hi, *buf)
+		for b := lo; b < hi; b++ {
+			partials[b] = blockSum(b, *buf)
+		}
 		mat.PutScratch(buf)
 	})
-	var total float64
 	for _, p := range partials {
 		total += p
 	}

@@ -22,13 +22,7 @@ type Result struct {
 
 // Approx reconstructs the truncated approximation densely.
 func (r *Result) Approx() *mat.Dense {
-	us := r.U.Clone()
-	for j := 0; j < len(r.S); j++ {
-		for i := 0; i < us.Rows; i++ {
-			us.Set(i, j, us.At(i, j)*r.S[j])
-		}
-	}
-	return mat.MulBT(us, r.V)
+	return mat.MulBT(mat.ScaleCols(r.U, r.S), r.V)
 }
 
 // FixedRank returns the best rank-k approximation of a.

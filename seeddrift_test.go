@@ -192,7 +192,9 @@ func TestSeedDriftRSVD(t *testing.T) {
 }
 
 // curDriftHash hashes a skeleton result: indices, sparse outer factors,
-// dense core, and the convergence metadata.
+// dense core, and the convergence metadata. The skeleton goldens depend
+// on the fixed-block ResidualFrobNorm reduction and must hash the same
+// at every GOMAXPROCS.
 func curDriftHash(r *cur.Result) uint64 {
 	w := newDriftHash()
 	w.ints(r.RowIdx)
@@ -211,7 +213,7 @@ func TestSeedDriftCUR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkDrift(t, "cur", curDriftHash(r), 0xb4be37236eb1c007)
+	checkDrift(t, "cur", curDriftHash(r), 0x4901d7db232153a6)
 }
 
 func TestSeedDriftTwoSidedID(t *testing.T) {
@@ -219,7 +221,7 @@ func TestSeedDriftTwoSidedID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkDrift(t, "id2", curDriftHash(r), 0x7a53e977d332afa5)
+	checkDrift(t, "id2", curDriftHash(r), 0x3e6353d6b0266413)
 }
 
 func TestSeedDriftACA(t *testing.T) {
@@ -227,7 +229,7 @@ func TestSeedDriftACA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkDrift(t, "aca", curDriftHash(r), 0x2f6d311477ce8a22)
+	checkDrift(t, "aca", curDriftHash(r), 0x5171c0e16505750f)
 }
 
 func TestSeedDriftARRF(t *testing.T) {

@@ -11,7 +11,8 @@
 #      instead of hanging it
 #   6. seed-drift gate: the default-Gaussian solver outputs must hash to
 #      the golden values captured from the pre-sketch-layer code
-#      (seeddrift_test.go) so published seed results stand
+#      (seeddrift_test.go) so published seed results stand; run under
+#      GOMAXPROCS=1, 2 and 8 so the hashes cannot depend on core count
 #   7. doc-link check: relative links in *.md must resolve
 #   8. godoc-presence gate: every package must carry a package-level
 #      doc comment (go doc works everywhere)
@@ -85,7 +86,12 @@ go test -race -timeout "${TESTTIMEOUT:-10m}" \
     ./internal/dist/... ./internal/randqb/... ./internal/randubv/... ./internal/lucrtp/...
 
 echo "== seed-drift gate (default-Gaussian bit-identity vs golden hashes)"
-go test -timeout "${TESTTIMEOUT:-10m}" -run '^TestSeedDrift' -count=1 -v . | grep -E '^(--- |ok|FAIL)'
+# Once per core count, so a reduction whose result depends on
+# GOMAXPROCS fails the gate on any machine, not only on a multi-core one.
+for procs in 1 2 8; do
+    echo "-- GOMAXPROCS=$procs"
+    GOMAXPROCS=$procs go test -timeout "${TESTTIMEOUT:-10m}" -run '^TestSeedDrift' -count=1 -v . | grep -E '^(--- |ok|FAIL)'
+done
 
 echo "== doc-link check (*.md relative links)"
 bad=0
