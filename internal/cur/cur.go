@@ -208,18 +208,18 @@ func skeletonTrial(a, aT *sparse.CSR, opts Options, k int) (trial, error) {
 
 	// Column selection: QRCP the row-space sketch Y = ΩᵀA (l×n), drawn
 	// as Y = (AᵀΩ)ᵀ so the CSR transpose feeds the sketch apply kernel.
-	cols := pivotIndices(sketchApply(aT, opts, opts.Seed, l), k)
+	cols := mat.QRCPPivots(sketchApply(aT, opts, opts.Seed, l), k)
 
 	var rows []int
 	switch opts.Variant {
 	case CUR:
 		// Row selection mirrors the column side on a decorrelated
 		// column-space sketch W = AΩ (m×l).
-		rows = pivotIndices(sketchApply(a, opts, opts.Seed^rowSeedSalt, l), k)
+		rows = mat.QRCPPivots(sketchApply(a, opts, opts.Seed^rowSeedSalt, l), k)
 	case ID2:
 		// Two-sided ID: a second QRCP pass on Cᵀ — the rows that best
 		// span the selected columns' row space.
-		rows = pivotIndices(a.ExtractColsDense(cols).T(), k)
+		rows = mat.QRCPPivots(a.ExtractColsDense(cols).T(), k)
 	default:
 		return trial{}, fmt.Errorf("cur: unknown variant %v", opts.Variant)
 	}
@@ -254,14 +254,6 @@ func skeletonTrial(a, aT *sparse.CSR, opts Options, k int) (trial, error) {
 func sketchApply(x *sparse.CSR, opts Options, seed int64, l int) *mat.Dense {
 	sk := sketch.New(opts.Sketch, x.Cols, seed, opts.SketchNNZ)
 	return sk.Next(l).MulCSR(x).T()
-}
-
-// pivotIndices returns the first k QRCP pivot columns of y.
-func pivotIndices(y *mat.Dense, k int) []int {
-	_, perm := mat.QRCPSelect(y)
-	out := make([]int, k)
-	copy(out, perm[:k])
-	return out
 }
 
 // coreLS solves the CUR core U = C⁺AR⁺ by least squares: with thin QRs

@@ -57,7 +57,7 @@ func (ws *OrthWorkspace) Orth(a *Dense) *Dense {
 	ws.orig = growF64(ws.orig, n)
 	ws.scratch = growF64(ws.scratch, n)
 	ws.perm = growInt(ws.perm, n)
-	qrcpFactor(f, ws.tau, ws.norms, ws.orig, ws.scratch, ws.perm)
+	qrcpFactor(f, k, ws.tau, ws.norms, ws.orig, ws.scratch, ws.perm)
 	// Numerical rank from the QRCP diagonal (same rule as Orth).
 	d0 := math.Abs(f.Data[0])
 	if d0 == 0 {

@@ -414,36 +414,24 @@ func (qf *qrFactor) thinQ(k int) *Dense {
 // q ∈ ℝ^{m×min(m,n)} having orthonormal columns and r ∈ ℝ^{min(m,n)×n}
 // upper trapezoidal.
 func QR(a *Dense) (q, r *Dense) {
-	m, n := a.Dims()
-	k := m
-	if n < k {
-		k = n
-	}
 	qf := houseQR(a)
-	r = NewDense(k, n)
-	for i := 0; i < k; i++ {
-		for j := i; j < n; j++ {
-			r.Set(i, j, qf.fac.At(i, j))
-		}
-	}
-	q = qf.thinQ(k)
-	return q, r
+	r = qf.r()
+	return qf.thinQ(r.Rows), r
 }
 
 // ROnly computes only the R factor of the thin QR of a (used by TSQR tree
 // reductions where Q is not needed).
 func ROnly(a *Dense) *Dense {
-	m, n := a.Dims()
-	k := m
-	if n < k {
-		k = n
-	}
-	qf := houseQR(a)
+	return houseQR(a).r()
+}
+
+// r copies the min(m,n)×n upper-trapezoidal R out of the factorization.
+func (qf *qrFactor) r() *Dense {
+	m, n := qf.fac.Dims()
+	k := min(m, n)
 	r := NewDense(k, n)
 	for i := 0; i < k; i++ {
-		for j := i; j < n; j++ {
-			r.Set(i, j, qf.fac.At(i, j))
-		}
+		copy(r.Row(i)[i:], qf.fac.Row(i)[i:n])
 	}
 	return r
 }
@@ -485,34 +473,47 @@ func Orth(a *Dense) *Dense {
 // independent of GOMAXPROCS; only the trailing-matrix rank-1 updates and
 // the final Q formation use the parallel kernels.
 func QRCP(a *Dense) (q, r *Dense, perm []int) {
-	m, n := a.Dims()
-	k := min(m, n)
-	f := a.Clone()
-	perm = make([]int, n)
-	tau := make([]float64, k)
+	qf, perm := qrcp(a.Clone(), min(a.Rows, a.Cols))
+	r = qf.r()
+	return qf.thinQ(r.Rows), r, perm
+}
+
+// QRCPSelect returns the R factor and the permutation of QRCP(a), bit for
+// bit, without forming Q.
+func QRCPSelect(a *Dense) (r *Dense, perm []int) {
+	qf, perm := qrcp(a.Clone(), min(a.Rows, a.Cols))
+	return qf.r(), perm
+}
+
+// QRCPPivots factors f in place for min(k, m, n) pivot steps and returns
+// the first min(k, n) pivot columns. Pivot j depends only on the steps
+// before it, so the result equals QRCP(f)'s perm[:k] bit for bit; the
+// remaining steps, and Q, are never computed. f is overwritten.
+func QRCPPivots(f *Dense, k int) []int {
+	_, perm := qrcp(f, min(k, f.Rows, f.Cols))
+	return perm[:min(k, f.Cols)]
+}
+
+// qrcp runs steps pivot steps of qrcpFactor in place on f with freshly
+// allocated storage.
+func qrcp(f *Dense, steps int) (*qrFactor, []int) {
+	n := f.Cols
+	perm := make([]int, n)
+	tau := make([]float64, steps)
 	norms := make([]float64, n)
 	orig := make([]float64, n)
 	scratch := make([]float64, n)
-	qrcpFactor(f, tau, norms, orig, scratch, perm)
-	qf := &qrFactor{fac: f, tau: tau}
-	r = NewDense(k, n)
-	for i := 0; i < k; i++ {
-		for j := i; j < n; j++ {
-			r.Set(i, j, f.At(i, j))
-		}
-	}
-	q = qf.thinQ(k)
-	return q, r, perm
+	qrcpFactor(f, steps, tau, norms, orig, scratch, perm)
+	return &qrFactor{fac: f, tau: tau}, perm
 }
 
-// qrcpFactor runs the Businger–Golub pivoted factorization in place on f
-// with caller-provided storage: tau (len min(m,n)), norms/orig/scratch
-// (len n) and perm (len n). It is the single implementation behind QRCP
-// and OrthWorkspace, so pooled-workspace callers factor bitwise
-// identically to the allocating API.
-func qrcpFactor(f *Dense, tau, norms, orig, scratch []float64, perm []int) {
+// qrcpFactor runs the first steps (≤ min(m,n)) pivot steps of the
+// Businger–Golub pivoted factorization in place on f with caller-provided
+// storage: tau (len ≥ steps), norms/orig/scratch (len n) and perm (len n).
+// It is the single implementation behind QRCP, QRCPPivots and
+// OrthWorkspace, so every caller pivots bitwise identically.
+func qrcpFactor(f *Dense, steps int, tau, norms, orig, scratch []float64, perm []int) {
 	m, n := f.Dims()
-	k := min(m, n)
 	for j := range perm {
 		perm[j] = j
 	}
@@ -527,7 +528,7 @@ func qrcpFactor(f *Dense, tau, norms, orig, scratch []float64, perm []int) {
 		norms[j] = s
 		orig[j] = s
 	}
-	for j := 0; j < k; j++ {
+	for j := 0; j < steps; j++ {
 		// Pivot: column of largest remaining norm.
 		best, bestv := j, norms[j]
 		for c := j + 1; c < n; c++ {
@@ -563,12 +564,4 @@ func qrcpFactor(f *Dense, tau, norms, orig, scratch []float64, perm []int) {
 			}
 		}
 	}
-}
-
-// QRCPSelect runs QRCP and returns only the permutation and the R factor;
-// it is the kernel the tournament-pivoting reduction uses at every tree
-// node, where Q is never needed.
-func QRCPSelect(a *Dense) (r *Dense, perm []int) {
-	_, r, perm = QRCP(a)
-	return r, perm
 }

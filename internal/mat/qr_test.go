@@ -175,17 +175,98 @@ func TestQRCPWideMatrix(t *testing.T) {
 	}
 }
 
-func TestQRCPSelectAgreesWithQRCP(t *testing.T) {
-	a := randDense(8, 6, 49)
-	_, rFull, permFull := QRCP(a)
-	r, perm := QRCPSelect(a)
-	for i := range perm {
-		if perm[i] != permFull[i] {
-			t.Fatal("QRCPSelect permutation differs")
+// qrcpCases are the inputs of the QRCP equivalence tests: both aspect
+// ratios, rank deficiency, zero columns, tied column norms, and a panel
+// tall enough for the row-parallel reflector update.
+func qrcpCases() map[string]*Dense {
+	lowRank := Mul(randDense(30, 3, 52), randDense(3, 12, 53))
+	zeroCols := randDense(25, 10, 54)
+	for _, j := range []int{0, 4, 9} {
+		for i := 0; i < zeroCols.Rows; i++ {
+			zeroCols.Set(i, j, 0)
 		}
 	}
-	if !r.Equal(rFull, 0) {
-		t.Fatal("QRCPSelect R differs")
+	// Every column of ties is a signed permutation of the same entries,
+	// so all column norms are equal and the pivot falls to the lowest
+	// index.
+	ties := NewDense(12, 9)
+	for i := 0; i < ties.Rows; i++ {
+		for j := 0; j < ties.Cols; j++ {
+			v := float64((i+j)%ties.Rows + 1)
+			if (i*j)%3 == 1 {
+				v = -v
+			}
+			ties.Set(i, j, v)
+		}
+	}
+	src := randDense(15, 6, 55)
+	dup := NewDense(15, 9)
+	for i := 0; i < dup.Rows; i++ {
+		for j, p := range []int{0, 1, 2, 3, 4, 5, 0, 2, 4} {
+			dup.Set(i, j, src.At(i, p))
+		}
+	}
+	return map[string]*Dense{
+		"tall":     randDense(8, 6, 49),
+		"wide":     randDense(5, 14, 56),
+		"square":   randDense(10, 10, 57),
+		"lowRank":  lowRank,
+		"zeroCols": zeroCols,
+		"zero":     NewDense(6, 4),
+		"ties":     ties,
+		"dupCols":  dup,
+		"parallel": randDense(2100, 16, 58),
+	}
+}
+
+func bitsEqual(a, b *Dense) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i := 0; i < a.Rows; i++ {
+		x, y := a.Row(i), b.Row(i)
+		for j := range x {
+			if math.Float64bits(x[j]) != math.Float64bits(y[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func TestQRCPSelectAgreesWithQRCP(t *testing.T) {
+	for name, a := range qrcpCases() {
+		_, rFull, permFull := QRCP(a)
+		r, perm := QRCPSelect(a)
+		for i := range perm {
+			if perm[i] != permFull[i] {
+				t.Fatalf("%s: QRCPSelect permutation differs", name)
+			}
+		}
+		if !bitsEqual(r, rFull) {
+			t.Fatalf("%s: QRCPSelect R differs", name)
+		}
+	}
+}
+
+func TestQRCPPivotsMatchQRCPPrefix(t *testing.T) {
+	for name, a := range qrcpCases() {
+		_, _, perm := QRCP(a)
+		for k := 1; k <= a.Cols; k++ {
+			f := a.Clone()
+			got := QRCPPivots(f, k)
+			if len(got) != k {
+				t.Fatalf("%s k=%d: %d pivots", name, k, len(got))
+			}
+			for i := range got {
+				if got[i] != perm[i] {
+					t.Fatalf("%s k=%d: pivot %d is %d, QRCP has %d", name, k, i, got[i], perm[i])
+				}
+			}
+		}
+		if got := QRCPPivots(a.Clone(), a.Cols+3); len(got) != a.Cols {
+			t.Fatalf("%s: k > n returned %d pivots, want %d", name, len(got), a.Cols)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package qrtp
 
 import (
 	"fmt"
+	"slices"
 
 	"sparselr/internal/dist"
 	"sparselr/internal/mat"
@@ -27,19 +28,78 @@ type Result struct {
 	R11     *mat.Dense
 }
 
-// node runs the tournament game at one tree node: QRCP on the candidate
-// columns and selection of the first k winners.
-func node(a *sparse.CSC, cand []int, k int) []int {
-	if len(cand) <= k {
+// tournament holds the workspace of one tournament over the columns of
+// a: pos maps a row of a to its row in the current node's panel (−1 when
+// absent), and rows lists the panel's rows. Both are reused by every node
+// of the tournament, so no node allocates per-row workspace.
+type tournament struct {
+	a    *sparse.CSC
+	k    int
+	pos  []int
+	rows []int
+}
+
+func newTournament(a *sparse.CSC, k int) *tournament {
+	pos := make([]int, a.Rows)
+	for i := range pos {
+		pos[i] = -1
+	}
+	return &tournament{a: a, k: k, pos: pos}
+}
+
+// node runs the tournament game at one tree node: k steps of QRCP on the
+// candidate columns and selection of the k winners.
+func (t *tournament) node(cand []int) []int {
+	if len(cand) <= t.k {
 		return append([]int(nil), cand...)
 	}
-	panel := a.ExtractColsDense(cand)
-	_, perm := mat.QRCPSelect(panel)
-	win := make([]int, k)
-	for i := 0; i < k; i++ {
+	perm := mat.QRCPPivots(t.panel(cand), t.k)
+	win := make([]int, t.k)
+	for i := range win {
 		win[i] = cand[perm[i]]
 	}
 	return win
+}
+
+// panel gathers the candidate columns into a row-compacted dense panel
+// and leaves its rows, ascending, in t.rows. The panel keeps the diagonal
+// rows 0..s−1 (s = min(k, m, len(cand)), the rows the k pivot steps
+// reflect onto) and every row holding a stored entry of a candidate. Any
+// other row is zero across the panel; its reflector entries stay zero, so
+// the Householder update skips it and it adds only +0 to every column
+// norm. QRCP on the panel therefore pivots bitwise as on the dense m-row
+// panel.
+func (t *tournament) panel(cand []int) *mat.Dense {
+	rows := t.rows[:0]
+	for i := 0; i < min(t.k, t.a.Rows, len(cand)); i++ {
+		t.pos[i] = 0
+		rows = append(rows, i)
+	}
+	for _, j := range cand {
+		ri, _ := t.a.ColView(j)
+		for _, i := range ri {
+			if t.pos[i] < 0 {
+				t.pos[i] = 0
+				rows = append(rows, i)
+			}
+		}
+	}
+	slices.Sort(rows)
+	for p, i := range rows {
+		t.pos[i] = p
+	}
+	panel := mat.NewDense(len(rows), len(cand))
+	for p, j := range cand {
+		ri, vals := t.a.ColView(j)
+		for x, i := range ri {
+			panel.Data[t.pos[i]*panel.Stride+p] = vals[x]
+		}
+	}
+	for _, i := range rows {
+		t.pos[i] = -1
+	}
+	t.rows = rows
+	return panel
 }
 
 // finalR11 computes the R factor of a plain QR on the winner panel,
@@ -86,6 +146,7 @@ func SelectColumnsAmong(a *sparse.CSC, cand []int, k int, tree Tree) Result {
 		winners := append([]int(nil), cand...)
 		return Result{Winners: winners, R11: finalR11(a, winners, k)}
 	}
+	t := newTournament(a, k)
 	blockW := 2 * k
 	var champs [][]int
 	for j := 0; j < len(cand); j += blockW {
@@ -93,7 +154,7 @@ func SelectColumnsAmong(a *sparse.CSC, cand []int, k int, tree Tree) Result {
 		if hi > len(cand) {
 			hi = len(cand)
 		}
-		champs = append(champs, node(a, cand[j:hi], k))
+		champs = append(champs, t.node(cand[j:hi]))
 	}
 	var winners []int
 	switch tree {
@@ -106,7 +167,7 @@ func SelectColumnsAmong(a *sparse.CSC, cand []int, k int, tree Tree) Result {
 					continue
 				}
 				merged := append(append([]int(nil), champs[i]...), champs[i+1]...)
-				next = append(next, node(a, merged, k))
+				next = append(next, t.node(merged))
 			}
 			champs = next
 		}
@@ -115,7 +176,7 @@ func SelectColumnsAmong(a *sparse.CSC, cand []int, k int, tree Tree) Result {
 		winners = champs[0]
 		for i := 1; i < len(champs); i++ {
 			merged := append(append([]int(nil), winners...), champs[i]...)
-			winners = node(a, merged, k)
+			winners = t.node(merged)
 		}
 	default:
 		panic("qrtp: unknown tree kind")
@@ -184,7 +245,8 @@ func SelectColumnsDistLabeled(c *dist.Comm, a *sparse.CSC, myCols []int, k int, 
 	}
 	// Local round (communication-free): tournament over the owned
 	// columns using leaves of 2k.
-	local := localTournament(c, a, myCols, k, label+"/local")
+	t := newTournament(a, k)
+	local := t.local(c, myCols, label+"/local")
 	// Global binary reduction.
 	winners := local
 	for stride := 1; stride < p; stride <<= 1 {
@@ -197,7 +259,7 @@ func SelectColumnsDistLabeled(c *dist.Comm, a *sparse.CSC, myCols []int, k int, 
 				merged := append(append([]int(nil), winners...), theirs...)
 				nnzPanel := a.ColsNNZ(merged)
 				c.Compute(nodeFlops(k, len(merged), nnzPanel), label+"/global")
-				winners = node(a, merged, k)
+				winners = t.node(merged)
 			}
 		} else if c.Rank()%(2*stride) == stride {
 			partner := c.Rank() - stride
@@ -220,9 +282,10 @@ func SelectColumnsDistLabeled(c *dist.Comm, a *sparse.CSC, myCols []int, k int, 
 	return out.(Result)
 }
 
-// localTournament selects k champions among the owned columns, charging
-// the leaf-round flops to the given kernel label.
-func localTournament(c *dist.Comm, a *sparse.CSC, myCols []int, k int, label string) []int {
+// local selects k champions among the owned columns, charging the
+// leaf-round flops to the given kernel label.
+func (t *tournament) local(c *dist.Comm, myCols []int, label string) []int {
+	a, k := t.a, t.k
 	if len(myCols) <= k {
 		c.Compute(nodeFlops(k, len(myCols), a.ColsNNZ(myCols)), label)
 		return append([]int(nil), myCols...)
@@ -236,7 +299,7 @@ func localTournament(c *dist.Comm, a *sparse.CSC, myCols []int, k int, label str
 		}
 		blk := myCols[j:hi]
 		c.Compute(nodeFlops(k, len(blk), a.ColsNNZ(blk)), label)
-		champs = append(champs, node(a, blk, k))
+		champs = append(champs, t.node(blk))
 	}
 	for len(champs) > 1 {
 		var next [][]int
@@ -247,7 +310,7 @@ func localTournament(c *dist.Comm, a *sparse.CSC, myCols []int, k int, label str
 			}
 			merged := append(append([]int(nil), champs[i]...), champs[i+1]...)
 			c.Compute(nodeFlops(k, len(merged), a.ColsNNZ(merged)), label)
-			next = append(next, node(a, merged, k))
+			next = append(next, t.node(merged))
 		}
 		champs = next
 	}

@@ -1,9 +1,11 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 
 	"sparselr/internal/mat"
@@ -694,7 +696,7 @@ func (a *CSR) PermuteCols(perm []int) *CSR {
 		for k := s; k < e; k++ {
 			buf = append(buf, ent{inv[out.ColIdx[k]], out.Val[k]})
 		}
-		sort.Slice(buf, func(x, y int) bool { return buf[x].j < buf[y].j })
+		slices.SortFunc(buf, func(x, y ent) int { return cmp.Compare(x.j, y.j) })
 		for k := s; k < e; k++ {
 			out.ColIdx[k] = buf[k-s].j
 			out.Val[k] = buf[k-s].v
@@ -769,7 +771,7 @@ func (a *CSR) ExtractCols(cols []int) *CSR {
 				row = append(row, ent{p, rvals[k]})
 			}
 		}
-		sort.Slice(row, func(x, y int) bool { return row[x].j < row[y].j })
+		slices.SortFunc(row, func(x, y ent) int { return cmp.Compare(x.j, y.j) })
 		for _, e := range row {
 			out.ColIdx = append(out.ColIdx, e.j)
 			out.Val = append(out.Val, e.v)

@@ -17,6 +17,7 @@ import (
 	"sparselr/internal/arrf"
 	"sparselr/internal/cur"
 	"sparselr/internal/dist"
+	"sparselr/internal/lucrtp"
 	"sparselr/internal/mat"
 	"sparselr/internal/randqb"
 	"sparselr/internal/randubv"
@@ -242,4 +243,47 @@ func TestSeedDriftARRF(t *testing.T) {
 	w.u64(uint64(r.Rank))
 	w.u64(uint64(r.Probes))
 	checkDrift(t, "arrf", w.sum(), 0x39fedc1b75b7f084)
+}
+
+// luDriftHash hashes an LU_CRTP result: the sparse factors and both
+// permutations, so any drift in the tournament's pivots shows. The LU
+// goldens were captured from the tournament that ran full QRCP on dense
+// m-row panels.
+func luDriftHash(r *lucrtp.Result) uint64 {
+	w := newDriftHash()
+	w.csr(r.L)
+	w.csr(r.U)
+	w.ints(r.RowPerm)
+	w.ints(r.ColPerm)
+	return w.sum()
+}
+
+func TestSeedDriftLUCRTP(t *testing.T) {
+	r, err := lucrtp.Factor(driftA(), lucrtp.Options{BlockSize: 8, Tol: 1e-2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDrift(t, "lucrtp", luDriftHash(r), 0xd2c794de6b40ecfe)
+}
+
+func TestSeedDriftILUTCRTP(t *testing.T) {
+	r, err := lucrtp.Factor(driftA(), lucrtp.Options{BlockSize: 8, Tol: 1e-2, Threshold: lucrtp.AutoThreshold})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDrift(t, "ilutcrtp", luDriftHash(r), 0xbdd0eecc8903a987)
+}
+
+func TestSeedDriftLUCRTPDist(t *testing.T) {
+	var r *lucrtp.Result
+	dist.Run(4, dist.DefaultConfig(), func(c *dist.Comm) {
+		rr, err := lucrtp.FactorDist(c, driftA(), lucrtp.Options{BlockSize: 8, Tol: 1e-2})
+		if err != nil {
+			panic(err)
+		}
+		if c.Rank() == 0 {
+			r = rr
+		}
+	})
+	checkDrift(t, "lucrtp_dist4", luDriftHash(r), 0xd2c794de6b40ecfe)
 }
