@@ -10,7 +10,6 @@ import (
 	"sparselr/internal/dist"
 	"sparselr/internal/lucrtp"
 	"sparselr/internal/mat"
-	"sparselr/internal/qrtp"
 	"sparselr/internal/randqb"
 	"sparselr/internal/randubv"
 	"sparselr/internal/rsvd"
@@ -84,7 +83,6 @@ type Options struct {
 	Reorder             lucrtp.ReorderMode
 	StableL             bool
 	DiscardTol          float64 // >0 enables Cayrols-style column discarding
-	Tree                qrtp.Tree
 	StopAtNumericalRank bool
 
 	// Procs > 1 runs the method's distributed implementation on that
@@ -256,7 +254,7 @@ func solve(a *sparse.CSR, opts Options, c *dist.Comm) (*Approximation, error) {
 		o := lucrtp.Options{
 			BlockSize: opts.BlockSize, Tol: opts.Tol, MaxRank: opts.MaxRank,
 			EstIters: opts.EstIters, Mu: opts.Mu, Reorder: opts.Reorder,
-			Tree: opts.Tree, StableL: opts.StableL, DiscardTol: opts.DiscardTol,
+			StableL: opts.StableL, DiscardTol: opts.DiscardTol,
 			StopAtNumericalRank: opts.StopAtNumericalRank,
 			CheckpointEvery:     opts.CheckpointEvery, Checkpoint: opts.CheckpointStore,
 		}

@@ -81,36 +81,17 @@ type DistDense struct {
 	Local *mat.Dense // this rank's block
 }
 
-// blockShare is the contiguous 1-D partition used along both axes.
-func blockShare(total, parts, idx int) (lo, hi int) {
-	base := total / parts
-	rem := total % parts
-	lo = idx*base + minInt(idx, rem)
-	hi = lo + base
-	if idx < rem {
-		hi++
-	}
-	return lo, hi
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // RowRange returns this rank's global row range.
-func (d *DistDense) RowRange() (lo, hi int) { return blockShare(d.M, d.G.pr, d.G.Row()) }
+func (d *DistDense) RowRange() (lo, hi int) { return RowShare(d.M, d.G.pr, d.G.Row()) }
 
 // ColRange returns this rank's global column range.
-func (d *DistDense) ColRange() (lo, hi int) { return blockShare(d.N, d.G.pc, d.G.Col()) }
+func (d *DistDense) ColRange() (lo, hi int) { return RowShare(d.N, d.G.pc, d.G.Col()) }
 
 // NewDistDense allocates a zero M×N distributed matrix on the grid.
 func NewDistDense(g *Grid, m, n int) *DistDense {
 	d := &DistDense{G: g, M: m, N: n}
-	rlo, rhi := blockShare(m, g.pr, g.Row())
-	clo, chi := blockShare(n, g.pc, g.Col())
+	rlo, rhi := RowShare(m, g.pr, g.Row())
+	clo, chi := RowShare(n, g.pc, g.Col())
 	d.Local = mat.NewDense(rhi-rlo, chi-clo)
 	return d
 }
@@ -121,8 +102,8 @@ func NewDistDense(g *Grid, m, n int) *DistDense {
 // same when the matrix originates replicated).
 func ScatterDense(g *Grid, a *mat.Dense) *DistDense {
 	d := &DistDense{G: g, M: a.Rows, N: a.Cols}
-	rlo, rhi := blockShare(a.Rows, g.pr, g.Row())
-	clo, chi := blockShare(a.Cols, g.pc, g.Col())
+	rlo, rhi := RowShare(a.Rows, g.pr, g.Row())
+	clo, chi := RowShare(a.Cols, g.pc, g.Col())
 	d.Local = a.View(rlo, clo, rhi-rlo, chi-clo).Clone()
 	return d
 }
@@ -136,8 +117,8 @@ func (d *DistDense) Gather() *mat.Dense {
 	out := mat.NewDense(d.M, d.N)
 	for r := 0; r < g.c.Size(); r++ {
 		i, j := r/g.pc, r%g.pc
-		rlo, _ := blockShare(d.M, g.pr, i)
-		clo, chi := blockShare(d.N, g.pc, j)
+		rlo, _ := RowShare(d.M, g.pr, i)
+		clo, chi := RowShare(d.N, g.pc, j)
 		blk := parts[r].(*mat.Dense)
 		for rr := 0; rr < blk.Rows; rr++ {
 			copy(out.View(rlo+rr, clo, 1, chi-clo).Row(0), blk.Row(rr))
@@ -169,11 +150,11 @@ func SUMMA(a, b *DistDense) *DistDense {
 	// grid columns) and B's row partition (by grid rows).
 	cuts := map[int]bool{0: true, a.N: true}
 	for j := 0; j <= g.pc; j++ {
-		lo, _ := blockShare(a.N, g.pc, minInt(j, g.pc-1))
+		lo, _ := RowShare(a.N, g.pc, min(j, g.pc-1))
 		cuts[lo] = true
 	}
 	for i := 0; i <= g.pr; i++ {
-		lo, _ := blockShare(b.M, g.pr, minInt(i, g.pr-1))
+		lo, _ := RowShare(b.M, g.pr, min(i, g.pr-1))
 		cuts[lo] = true
 	}
 	var segs []int
@@ -197,7 +178,7 @@ func SUMMA(a, b *DistDense) *DistDense {
 		// A panel: my block's rows × segment columns (held by ownCol).
 		var aPanel *mat.Dense
 		if g.Col() == ownCol {
-			clo, _ := blockShare(a.N, g.pc, ownCol)
+			clo, _ := RowShare(a.N, g.pc, ownCol)
 			aPanel = a.Local.View(0, s0-clo, a.Local.Rows, s1-s0).Clone()
 		}
 		// Constant tags are safe: the mailbox preserves FIFO order per
@@ -207,7 +188,7 @@ func SUMMA(a, b *DistDense) *DistDense {
 		// B panel: segment rows × my block's columns (held by ownRow).
 		var bPanel *mat.Dense
 		if g.Row() == ownRow {
-			rlo, _ := blockShare(b.M, g.pr, ownRow)
+			rlo, _ := RowShare(b.M, g.pr, ownRow)
 			bPanel = b.Local.View(s0-rlo, 0, s1-s0, b.Local.Cols).Clone()
 		}
 		bPanel = g.colBcast(ownRow, bPanel, 8*(s1-s0)*(myChi-myClo), tagB).(*mat.Dense)
@@ -221,7 +202,7 @@ func SUMMA(a, b *DistDense) *DistDense {
 // ownerOf returns the partition index whose share of total contains pos.
 func ownerOf(total, parts, pos int) int {
 	for i := 0; i < parts; i++ {
-		lo, hi := blockShare(total, parts, i)
+		lo, hi := RowShare(total, parts, i)
 		if pos >= lo && pos < hi {
 			return i
 		}

@@ -489,6 +489,53 @@ func (r *Result) CollectiveNames() []string {
 	return names
 }
 
+// newWorld builds a p-rank world and one Comm per rank.
+func newWorld(p int, cfg Config) (*World, []*Comm) {
+	w := &World{p: p, cfg: cfg, net: newNetwork(p)}
+	comms := make([]*Comm, p)
+	for i := range comms {
+		alpha, beta, gamma := cfg.Alpha, cfg.Beta, cfg.Gamma
+		if cfg.Fault != nil {
+			commScale, compScale := cfg.Fault.scales(i)
+			alpha *= commScale
+			beta *= commScale
+			gamma *= compScale
+		}
+		comms[i] = &Comm{
+			world: w, rank: i, tracer: cfg.Tracer,
+			alpha: alpha, beta: beta, gamma: gamma,
+			fault:   cfg.Fault.faultsFor(i),
+			kernels: map[string]float64{},
+			colls:   map[string]*CollectiveStats{},
+		}
+	}
+	return w, comms
+}
+
+// Solo returns the Comm of a one-rank world that runs on the caller's
+// goroutine. It lets a distributed loop run sequentially: collectives
+// move nothing, the zero cost model charges no virtual time, and a
+// returned error or a panic reaches the caller as is, never wrapped in
+// a *RankError.
+func Solo() *Comm {
+	_, comms := newWorld(1, Config{})
+	return comms[0]
+}
+
+// RowShare returns the contiguous block [lo, hi) of rows owned by the
+// given rank when rows are split evenly over p ranks; the first
+// rows%p ranks own one extra row.
+func RowShare(rows, p, rank int) (lo, hi int) {
+	base := rows / p
+	rem := rows % p
+	lo = rank*base + min(rank, rem)
+	hi = lo + base
+	if rank < rem {
+		hi++
+	}
+	return lo, hi
+}
+
 // Run executes body on p ranks and returns the per-rank virtual-time
 // statistics. It blocks until every rank returns. Panics in rank bodies
 // propagate to the caller; a deadlock or injected fault panics with the
@@ -530,24 +577,7 @@ func RunE(p int, cfg Config, body func(*Comm) error) (*Result, error) {
 	if p < 1 {
 		panic("dist: need at least one rank")
 	}
-	w := &World{p: p, cfg: cfg, net: newNetwork(p)}
-	comms := make([]*Comm, p)
-	for i := range comms {
-		alpha, beta, gamma := cfg.Alpha, cfg.Beta, cfg.Gamma
-		if cfg.Fault != nil {
-			commScale, compScale := cfg.Fault.scales(i)
-			alpha *= commScale
-			beta *= commScale
-			gamma *= compScale
-		}
-		comms[i] = &Comm{
-			world: w, rank: i, tracer: cfg.Tracer,
-			alpha: alpha, beta: beta, gamma: gamma,
-			fault:   cfg.Fault.faultsFor(i),
-			kernels: map[string]float64{},
-			colls:   map[string]*CollectiveStats{},
-		}
-	}
+	w, comms := newWorld(p, cfg)
 	var wg sync.WaitGroup
 	errs := make([]*RankError, p)
 	aborts := make([]*RankError, p)

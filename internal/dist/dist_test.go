@@ -343,3 +343,21 @@ func TestGuardPanics(t *testing.T) {
 		}()
 	}
 }
+
+func TestRowShare(t *testing.T) {
+	for _, tc := range []struct{ rows, p int }{{10, 3}, {7, 7}, {5, 8}, {0, 4}} {
+		total := 0
+		prevHi := 0
+		for r := 0; r < tc.p; r++ {
+			lo, hi := RowShare(tc.rows, tc.p, r)
+			if lo != prevHi {
+				t.Fatalf("rows=%d p=%d: gap at rank %d", tc.rows, tc.p, r)
+			}
+			prevHi = hi
+			total += hi - lo
+		}
+		if total != tc.rows {
+			t.Fatalf("rows=%d p=%d: covered %d", tc.rows, tc.p, total)
+		}
+	}
+}

@@ -2,46 +2,143 @@ package lucrtp
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"sparselr/internal/dist"
+	"sparselr/internal/sparse"
 )
 
+// TestFactorDistMatchesSequential checks, for every option that changes
+// the iteration, that one rank gives Factor's result bit for bit. Two and
+// four ranks play the tournaments on a different reduction tree and may
+// pick other, equally valid pivots; where they pick Factor's pivots the
+// result must again be Factor's bit for bit, and otherwise the factors
+// must still reproduce the indicator exactly.
 func TestFactorDistMatchesSequential(t *testing.T) {
-	a := decayMatrix(60, 50, 30, 0.6, 101)
-	opts := Options{BlockSize: 8, Tol: 1e-3}
-	seq, err := Factor(a, opts)
-	if err != nil {
-		t.Fatal(err)
+	lowRank := decayMatrix(60, 50, 30, 0.6, 101)
+	fill := randSparse(60, 60, 0.12, 81)
+	ilut := func(mode ThresholdMode) Options {
+		return Options{BlockSize: 8, Tol: 1e-2, Threshold: mode, EstIters: 6}
 	}
-	for _, p := range []int{1, 2, 4} {
-		var got *Result
-		dist.Run(p, dist.DefaultConfig(), func(c *dist.Comm) {
-			r, err := FactorDist(c, a, opts)
-			if err != nil {
-				t.Errorf("p=%d: %v", p, err)
-				return
+	fixed := ilut(FixedThreshold)
+	fixed.Mu = 1e-3
+	captured := ilut(AutoThreshold)
+	captured.CaptureDropped = true
+	cases := []struct {
+		name string
+		a    *sparse.CSR
+		opts Options
+	}{
+		{"plain", lowRank, Options{BlockSize: 8, Tol: 1e-3}},
+		{"ilut-auto", fill, ilut(AutoThreshold)},
+		{"ilut-fixed", fill, fixed},
+		{"ilut-aggressive", fill, ilut(AggressiveThreshold)},
+		{"stable-l", lowRank, Options{BlockSize: 8, Tol: 1e-3, StableL: true}},
+		{"discard", lowRank, Options{BlockSize: 8, Tol: 1e-3, DiscardTol: 1}},
+		{"numerical-rank", lowRank, Options{BlockSize: 8, Tol: 1e-15, StopAtNumericalRank: true}},
+		{"reorder-every", fill, Options{BlockSize: 8, Tol: 1e-2, Reorder: ReorderEvery}},
+		{"reorder-off", fill, Options{BlockSize: 8, Tol: 1e-2, Reorder: ReorderOff}},
+		{"capture-dropped", fill, captured},
+	}
+	for _, tc := range cases {
+		seq, err := Factor(tc.a, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		switch tc.name {
+		case "numerical-rank":
+			if !seq.HitNumRank {
+				t.Fatalf("%s: the rank guard never fired", tc.name)
 			}
-			if c.Rank() == 0 {
-				got = r
+		case "capture-dropped":
+			if seq.Dropped == nil || seq.Dropped.NNZ() == 0 {
+				t.Fatalf("%s: nothing dropped", tc.name)
 			}
-		})
-		if got == nil {
-			t.Fatalf("p=%d: no result", p)
 		}
-		if !got.Converged {
-			t.Fatalf("p=%d did not converge", p)
-		}
-		if got.Rank != seq.Rank || got.Iters != seq.Iters {
-			t.Fatalf("p=%d: rank/iters %d/%d vs sequential %d/%d", p, got.Rank, got.Iters, seq.Rank, seq.Iters)
-		}
-		if math.Abs(got.ErrIndicator-seq.ErrIndicator) > 1e-9*seq.NormA {
-			t.Fatalf("p=%d: indicator %v vs %v", p, got.ErrIndicator, seq.ErrIndicator)
-		}
-		if te := TrueError(a, got); math.Abs(te-got.ErrIndicator) > 1e-8*got.NormA {
-			t.Fatalf("p=%d: distributed factors wrong (true error %v vs indicator %v)", p, te, got.ErrIndicator)
+		for _, p := range []int{1, 2, 4} {
+			var got *Result
+			dist.Run(p, dist.DefaultConfig(), func(c *dist.Comm) {
+				r, err := FactorDist(c, tc.a, tc.opts)
+				if err != nil {
+					t.Errorf("%s p=%d: %v", tc.name, p, err)
+					return
+				}
+				if c.Rank() == 0 {
+					got = r
+				}
+			})
+			if got == nil {
+				t.Fatalf("%s p=%d: no result", tc.name, p)
+			}
+			samePivots := slices.Equal(got.RowPerm, seq.RowPerm) && slices.Equal(got.ColPerm, seq.ColPerm)
+			if p == 1 || samePivots {
+				if diff := resultDiff(got, seq); diff != "" {
+					t.Errorf("%s p=%d: %s differs from Factor", tc.name, p, diff)
+				}
+			} else if tc.opts.Threshold == NoThreshold || tc.opts.CaptureDropped {
+				te := TrueError(tc.a, got)
+				if got.Dropped != nil {
+					te = ThresholdedError(tc.a, got)
+				}
+				if math.Abs(te-got.ErrIndicator) > 1e-9*got.NormA {
+					t.Errorf("%s p=%d: factors give error %v, indicator %v", tc.name, p, te, got.ErrIndicator)
+				}
+			}
+			if p > 1 && tc.name == "plain" {
+				if !samePivots {
+					t.Errorf("%s p=%d: pivots differ from Factor", tc.name, p)
+				}
+				if !got.Converged || got.Rank != seq.Rank || got.Iters != seq.Iters {
+					t.Errorf("%s p=%d: converged %v, rank/iters %d/%d vs sequential %d/%d",
+						tc.name, p, got.Converged, got.Rank, got.Iters, seq.Rank, seq.Iters)
+				}
+				if math.Abs(got.ErrIndicator-seq.ErrIndicator) > 1e-9*seq.NormA {
+					t.Errorf("%s p=%d: indicator %v vs %v", tc.name, p, got.ErrIndicator, seq.ErrIndicator)
+				}
+			}
+			if len(got.TimeHistory) != got.Iters {
+				t.Errorf("%s p=%d: %d time samples for %d iterations", tc.name, p, len(got.TimeHistory), got.Iters)
+			}
 		}
 	}
+}
+
+// resultDiff names the first field in which two results differ bitwise,
+// ignoring the wall-clock TimeHistory.
+func resultDiff(a, b *Result) string {
+	switch {
+	case !slices.Equal(a.RowPerm, b.RowPerm):
+		return "RowPerm"
+	case !slices.Equal(a.ColPerm, b.ColPerm):
+		return "ColPerm"
+	case !sameCSR(a.L, b.L):
+		return "L"
+	case !sameCSR(a.U, b.U):
+		return "U"
+	case !slices.Equal(a.ErrHistory, b.ErrHistory):
+		return "ErrHistory"
+	case !slices.Equal(a.FillHistory, b.FillHistory) || !slices.Equal(a.NNZHistory, b.NNZHistory):
+		return "fill history"
+	case a.Rank != b.Rank || a.Iters != b.Iters || a.ErrIndicator != b.ErrIndicator:
+		return "rank, iterations or indicator"
+	case a.Converged != b.Converged || a.HitNumRank != b.HitNumRank:
+		return "stop reason"
+	case a.Mu != b.Mu || a.Phi != b.Phi || a.ControlTriggered != b.ControlTriggered:
+		return "threshold"
+	case a.DroppedNorm2 != b.DroppedNorm2 || a.DroppedNorm1 != b.DroppedNorm1 || a.DroppedNNZ != b.DroppedNNZ:
+		return "dropped accounting"
+	case (a.Dropped == nil) != (b.Dropped == nil) || a.Dropped != nil && !sameCSR(a.Dropped, b.Dropped):
+		return "Dropped"
+	case a.DiscardedCols != b.DiscardedCols:
+		return "DiscardedCols"
+	}
+	return ""
+}
+
+func sameCSR(a, b *sparse.CSR) bool {
+	return a.Rows == b.Rows && a.Cols == b.Cols && slices.Equal(a.RowPtr, b.RowPtr) &&
+		slices.Equal(a.ColIdx, b.ColIdx) && slices.Equal(a.Val, b.Val)
 }
 
 func TestFactorDistAllRanksAgree(t *testing.T) {
@@ -123,24 +220,6 @@ func TestFactorDistVirtualSpeedup(t *testing.T) {
 	t4 := timeFor(4)
 	if t4 >= t1 {
 		t.Fatalf("no modeled speedup: t1=%v t4=%v", t1, t4)
-	}
-}
-
-func TestRowShare(t *testing.T) {
-	for _, tc := range []struct{ rows, p int }{{10, 3}, {7, 7}, {5, 8}, {0, 4}} {
-		total := 0
-		prevHi := 0
-		for r := 0; r < tc.p; r++ {
-			lo, hi := rowShare(tc.rows, tc.p, r)
-			if lo != prevHi {
-				t.Fatalf("rows=%d p=%d: gap at rank %d", tc.rows, tc.p, r)
-			}
-			prevHi = hi
-			total += hi - lo
-		}
-		if total != tc.rows {
-			t.Fatalf("rows=%d p=%d: covered %d", tc.rows, tc.p, total)
-		}
 	}
 }
 

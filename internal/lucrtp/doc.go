@@ -6,5 +6,7 @@
 // The factorization produces sparse truncated factors L_K (m×K) and
 // U_K (K×n) and permutations P_r, P_c with P_r·A·P_c ≈ L_K·U_K, growing K
 // in blocks of k until the error indicator ‖A⁽ⁱ⁺¹⁾‖_F (eq 9) — or, for
-// ILUT_CRTP, ‖Ã⁽ⁱ⁺¹⁾‖_F (eq 26) — falls below τ‖A‖_F.
+// ILUT_CRTP, ‖Ã⁽ⁱ⁺¹⁾‖_F (eq 26) — falls below τ‖A‖_F. One loop serves
+// both runs: FactorDist runs it on the ranks of a dist.Comm, and Factor
+// runs it on one rank.
 package lucrtp

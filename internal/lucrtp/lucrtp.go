@@ -53,7 +53,6 @@ type Options struct {
 	EstIters  int     // u in eq (24); 0 defaults to 10
 	Phi       float64 // threshold control φ; 0 defaults to τ|R⁽¹⁾(1,1)|
 	Reorder   ReorderMode
-	Tree      qrtp.Tree
 	// StopAtNumericalRank additionally stops when the panel QR diagonal
 	// collapses (the Grigori termination; used for the SJSU suite runs
 	// "stopped at the numerical rank").
@@ -78,11 +77,11 @@ type Options struct {
 	// reasonable setting; larger values prune more aggressively.
 	DiscardTol float64
 
-	// CheckpointEvery > 0 makes FactorDist save each rank's loop state
+	// CheckpointEvery > 0 makes the loop save each rank's state
 	// into Checkpoint at the end of every CheckpointEvery-th iteration;
 	// a complete snapshot already in Checkpoint resumes the run (the
 	// COLAMD preamble is skipped — the restored Schur complement embeds
-	// it) to a bit-identical result. Ignored by the sequential Factor.
+	// it) to a bit-identical result.
 	CheckpointEvery int
 	Checkpoint      *dist.CheckpointStore
 }
@@ -150,14 +149,33 @@ type entry struct {
 }
 
 // Factor computes the fixed-precision truncated factorization of a with
-// LU_CRTP (Options.Threshold == NoThreshold) or ILUT_CRTP.
+// LU_CRTP (Options.Threshold == NoThreshold) or ILUT_CRTP. It is
+// FactorDist on a one-rank Comm.
 func Factor(a *sparse.CSR, opts Options) (*Result, error) {
+	return FactorDist(dist.Solo(), a, opts)
+}
+
+// FactorDist runs LU_CRTP/ILUT_CRTP inside a dist.Run body: the column
+// tournament, the row tournament, the triangular solve and the Schur
+// complement are executed SPMD-style across the ranks with the data
+// movement of §V (block-cyclic column distribution for A⁽ⁱ⁾, scatter of
+// Ā₂₁, broadcast of Ā₁₁, allgather of the solve result). Every rank
+// returns an identical *Result; per-rank virtual-time and per-kernel
+// attributions accumulate in the Comm and are read from dist.Run's
+// Result (Figs 4–5). On one rank it makes no copy that only the
+// distribution needs, so Factor costs what a sequential loop would.
+//
+// Kernel labels (matching Fig 5): colQR_TP/{local,global,finalR},
+// rowQR_TP/{local,global,finalR}, colamd, panelQR, rowPerm, triSolve,
+// schur, threshold.
+func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 	opts.defaults()
 	m, n := a.Dims()
 	if m == 0 || n == 0 {
 		return nil, fmt.Errorf("lucrtp: empty matrix %d×%d", m, n)
 	}
 	k := opts.BlockSize
+	p := c.Size()
 	normA := a.FrobNorm()
 	nnzA := a.NNZ()
 	maxRank := opts.MaxRank
@@ -166,80 +184,109 @@ func Factor(a *sparse.CSR, opts Options) (*Result, error) {
 	}
 
 	res := &Result{NormA: normA, RowPerm: identity(m), ColPerm: identity(n)}
-	// COLAMD preprocessing (§V): permute columns before iteration 1.
 	acur := a
-	if opts.Reorder != ReorderOff {
-		perm := ordering.FillReducingOrder(a)
+
+	// Resume from the newest complete checkpoint cut, if one exists. The
+	// COLAMD preamble is skipped on resume: the restored Schur complement
+	// and permutations already embed the reordering.
+	startIter := 0
+	resumed := false
+	var lEnt, uEnt, tEnt []entry
+	z := 0
+	mu, phi, t2 := 0.0, 0.0, 0.0
+	if opts.Checkpoint != nil {
+		if it, states, ok := opts.Checkpoint.Latest(p); ok {
+			s := states[c.Rank()].(*luSnapshot)
+			startIter = it
+			resumed = true
+			acur = s.acur.Clone()
+			lEnt = append([]entry(nil), s.lEnt...)
+			uEnt = append([]entry(nil), s.uEnt...)
+			tEnt = append([]entry(nil), s.tEnt...)
+			z = s.z
+			mu, phi, t2 = s.mu, s.phi, s.t2
+			*res = s.res.snapshot()
+		}
+	}
+	if !resumed && opts.Reorder != ReorderOff {
+		// COLAMD preprocessing (§V) before iteration 1.
+		perm := fillReducingOrder(c, a)
 		res.ColPerm = perm
 		acur = a.PermuteCols(perm)
 	}
 	rowOrder := res.RowPerm // alias; updated in place
 	colOrder := res.ColPerm
-
-	var lEnt, uEnt, tEnt []entry
-	z := 0
-	mu := 0.0
-	phi := 0.0
-	t2 := 0.0 // running Σ‖T̃⁽ʲ⁾‖²_F
 	thresholdOn := opts.Threshold != NoThreshold
 	start := time.Now()
 
-	record := func(e float64, s *sparse.CSR) {
-		res.ErrHistory = append(res.ErrHistory, e)
-		res.FillHistory = append(res.FillHistory, s.Density())
-		res.NNZHistory = append(res.NNZHistory, s.NNZ())
-		res.TimeHistory = append(res.TimeHistory, time.Since(start))
-	}
-
-	for iter := 1; ; iter++ {
+	for iter := startIter + 1; ; iter++ {
+		if c.Tracing() {
+			c.Annotate(fmt.Sprintf("LU_CRTP iter %d", iter))
+		}
 		mcur, ncur := acur.Dims()
 		keff := min(k, min(mcur, ncur), maxRank-z)
 		if keff <= 0 {
 			break
 		}
 		if opts.Reorder == ReorderEvery && iter > 1 {
-			perm := ordering.FillReducingOrder(acur)
+			perm := fillReducingOrder(c, acur)
 			acur = acur.PermuteCols(perm)
 			applyTail(colOrder, z, perm)
 		}
-		// Line 5 of Alg 2: column tournament.
+		// --- Line 5 of Alg 2: column QR_TP (distributed tournament) ---
 		csc := acur.ToCSC()
-		var colRes qrtp.Result
+		myCols := qrtp.BlockCyclicColumns(ncur, p, c.Rank(), keff)
 		if opts.DiscardTol > 0 {
-			// Column-discarding (ref [2]): keep only candidates whose
-			// norm clears the discard threshold; always keep at least
-			// keff candidates so a winner set exists.
+			// Column discarding (ref [2]): each rank prunes negligible
+			// candidates from its own block before the tournament, as
+			// long as at least keff candidates survive overall.
 			limit2 := opts.DiscardTol * opts.Tol * normA / math.Sqrt(float64(n))
 			limit2 *= limit2
 			norms2 := acur.ColNorms2()
-			cand := make([]int, 0, ncur)
-			for j, n2 := range norms2 {
+			total := 0
+			for _, n2 := range norms2 {
 				if n2 > limit2 {
-					cand = append(cand, j)
+					total++
 				}
 			}
-			if len(cand) < keff {
-				cand = cand[:0]
-				for j := 0; j < ncur; j++ {
-					cand = append(cand, j)
+			if total >= keff {
+				kept := myCols[:0]
+				for _, j := range myCols {
+					if norms2[j] > limit2 {
+						kept = append(kept, j)
+					}
 				}
+				myCols = kept
+				res.DiscardedCols += ncur - total
 			}
-			res.DiscardedCols += ncur - len(cand)
-			colRes = qrtp.SelectColumnsAmong(csc, cand, keff, opts.Tree)
-		} else {
-			colRes = qrtp.SelectColumns(csc, keff, opts.Tree)
 		}
+		colRes := qrtp.SelectColumnsDist(c, csc, myCols, keff)
 		lcp := qrtp.Permutation(colRes.Winners, ncur)
+		// Column permutations are implicit during tournament pivoting
+		// (Fig 5 caption) — no kernel charge.
 		acur = acur.PermuteCols(lcp)
 		applyTail(colOrder, z, lcp)
 
-		// Line 6: QR of the selected panel.
+		// --- Line 6: panel QR on the winning columns (owner computes,
+		// then the orthogonal panel is scattered, §V) ---
 		panelCols := make([]int, keff)
 		for t := range panelCols {
 			panelCols[t] = t
 		}
 		panel := acur.ExtractColsDense(panelCols)
+		if c.Rank() == 0 {
+			panelNNZ := 0
+			for _, v := range panel.Data {
+				if v != 0 {
+					panelNNZ++
+				}
+			}
+			c.Compute(4*float64(keff)*float64(panelNNZ)+2*float64(mcur)*float64(keff)*float64(keff), "panelQR")
+		}
 		qk, rPanel := mat.QR(panel)
+		c.Bcast(0, nil, 8*mcur*keff) // scatter of Q_k
+		c.Elapse(0, "panelQR")       // ensure the kernel appears on every rank
+
 		if iter == 1 {
 			res.R11First = math.Abs(rPanel.At(0, 0))
 			if thresholdOn {
@@ -273,81 +320,96 @@ func Factor(a *sparse.CSR, opts Options) (*Result, error) {
 				res.HitNumRank = true
 				break
 			}
-			if opts.StopAtNumericalRank {
-				keff = sig
-				qk = qk.View(0, 0, mcur, keff).Clone()
-				lastBlock = true
-				res.HitNumRank = true
-			} else if !thresholdOn {
-				// LU_CRTP proceeds on a deficient block at its own risk;
-				// truncate to the significant part and finish.
-				keff = sig
-				qk = qk.View(0, 0, mcur, keff).Clone()
-				lastBlock = true
-				res.HitNumRank = true
-			} else {
+			if thresholdOn && !opts.StopAtNumericalRank {
 				// ILUT_CRTP rank deficiency: bound (20) violated.
 				return res, fmt.Errorf("%w: panel diagonal collapsed at iteration %d (|R(k,k)| ≤ %.3g)", ErrBreakdown, iter, rankTol)
 			}
+			// LU_CRTP (or a run stopping at the numerical rank) keeps
+			// the significant part of the block and finishes.
+			keff = sig
+			qk = qk.View(0, 0, mcur, keff).Clone()
+			lastBlock = true
+			res.HitNumRank = true
 		}
 
-		// Line 7: row tournament on Q_kᵀ.
-		rowWinners := qrtp.SelectRowsDense(qk, keff)
-		lrp := qrtp.Permutation(rowWinners, mcur)
+		// --- Line 7: row QR_TP on Q_kᵀ (distributed tournament over
+		// rows) ---
+		qt := sparse.FromDense(qk.T(), 0).ToCSC()
+		myRows := qrtp.BlockCyclicColumns(mcur, p, c.Rank(), keff)
+		rowRes := qrtp.SelectColumnsDistLabeled(c, qt, myRows, keff, "rowQR_TP")
+		lrp := qrtp.Permutation(rowRes.Winners, mcur)
+		// Local row permutations of A⁽ⁱ⁾ after row QR_TP are one of the
+		// expensive kernels when fill-in is large (Fig 5): each rank
+		// permutes its share of the nonzeros.
+		c.Compute(4*float64(acur.NNZ())/float64(p), "rowPerm")
 		acur = acur.PermuteRows(lrp)
 		qk = qk.PermuteRows(lrp)
 		applyTail(rowOrder, z, lrp)
 
-		// Line 8: partition Ā.
+		// --- Line 8: partition Ā. Each rank owns rows [lo, hi) of the
+		// trailing block rows Ā₂₁ and Ā₂₂ ---
+		lo, hi := dist.RowShare(mcur-keff, p, c.Rank())
 		a11 := acur.ExtractBlock(0, keff, 0, keff).ToDense()
 		a12 := acur.ExtractBlock(0, keff, keff, ncur)
-		a21 := acur.ExtractBlock(keff, mcur, 0, keff)
-		a22 := acur.ExtractBlock(keff, mcur, keff, ncur)
 
-		// Line 10: X = Ā₂₁Ā₁₁⁻¹ (or the stable Q-based form).
-		var x *mat.Dense
-		var err error
+		// --- Line 10: X = Ā₂₁Ā₁₁⁻¹ (or the stable Q-based form): Ā₂₁
+		// scattered by rows, Ā₁₁ broadcast, result allgathered (§V) ---
+		c.Bcast(0, nil, 8*keff*keff) // broadcast of Ā₁₁
+		var myA21, pivot *mat.Dense
 		if opts.StableL {
-			q11 := qk.View(0, 0, keff, keff).Clone()
-			q21 := qk.View(keff, 0, mcur-keff, keff).Clone()
-			x, err = mat.SolveRight(q21, q11)
+			myA21 = qk.View(keff+lo, 0, hi-lo, keff).Clone()
+			pivot = qk.View(0, 0, keff, keff).Clone()
 		} else {
-			x, err = mat.SolveRight(a21.ToDense(), a11)
+			myA21 = acur.ExtractBlock(keff+lo, keff+hi, 0, keff).ToDense()
+			pivot = a11
 		}
+		myX, err := mat.SolveRight(myA21, pivot)
 		if err != nil {
+			// All ranks hit the same singular pivot deterministically.
 			return res, fmt.Errorf("%w: iteration %d: %v", ErrBreakdown, iter, err)
 		}
-		xsp := sparse.FromDense(x, 0)
+		c.Compute(2*float64(hi-lo)*float64(keff)*float64(keff), "triSolve")
+		myXsp := sparse.FromDense(myX, 0)
+		xsp := gatherRows(c, myXsp, mcur-keff, keff)
 
-		// Line 11: append L_k = [I; X] and U_k = [Ā₁₁ Ā₁₂].
+		// --- Line 11: append L_k = [I; X] and U_k = [Ā₁₁ Ā₁₂]
+		// (replicated bookkeeping) ---
 		for tIdx := 0; tIdx < keff; tIdx++ {
 			lEnt = append(lEnt, entry{rowOrder[z+tIdx], z + tIdx, 1})
-			for c := 0; c < keff; c++ {
-				if v := a11.At(tIdx, c); v != 0 {
-					uEnt = append(uEnt, entry{z + tIdx, colOrder[z+c], v})
+			for cc := 0; cc < keff; cc++ {
+				if v := a11.At(tIdx, cc); v != 0 {
+					uEnt = append(uEnt, entry{z + tIdx, colOrder[z+cc], v})
 				}
 			}
 			cols, vals := a12.RowView(tIdx)
-			for kk, c := range cols {
-				uEnt = append(uEnt, entry{z + tIdx, colOrder[z+keff+c], vals[kk]})
+			for kk, cc := range cols {
+				uEnt = append(uEnt, entry{z + tIdx, colOrder[z+keff+cc], vals[kk]})
 			}
 		}
 		for r := 0; r < xsp.Rows; r++ {
 			cols, vals := xsp.RowView(r)
-			for kk, c := range cols {
-				lEnt = append(lEnt, entry{rowOrder[z+keff+r], z + c, vals[kk]})
+			for kk, cc := range cols {
+				lEnt = append(lEnt, entry{rowOrder[z+keff+r], z + cc, vals[kk]})
 			}
 		}
 
-		// Line 12: Schur complement.
-		s := sparse.Add(1, a22, -1, sparse.SpGEMM(xsp, a12))
+		// --- Line 12: Schur complement. Each rank computes its row
+		// share, then an Allgather distributes S (§V) ---
+		myA22 := acur.ExtractBlock(keff+lo, keff+hi, keff, ncur)
+		c.Compute(sparse.SpGEMMFlops(myXsp, a12)+2*float64(myA22.NNZ()), "schur")
+		myS := sparse.Add(1, myA22, -1, sparse.SpGEMM(myXsp, a12))
+		s := gatherRows(c, myS, mcur-keff, ncur-keff)
+
 		e := s.FrobNorm()
-		record(e, s)
+		res.ErrHistory = append(res.ErrHistory, e)
+		res.FillHistory = append(res.FillHistory, s.Density())
+		res.NNZHistory = append(res.NNZHistory, s.NNZ())
+		res.TimeHistory = append(res.TimeHistory, time.Since(start))
 		res.Iters = iter
 		z += keff
 		res.Rank = z
 
-		// Line 13 / Alg 3 line 7: termination.
+		// --- Line 13 / Alg 3 line 7: termination ---
 		if e < opts.Tol*normA {
 			res.Converged = true
 			res.ErrIndicator = e
@@ -358,8 +420,9 @@ func Factor(a *sparse.CSR, opts Options) (*Result, error) {
 			break
 		}
 
-		// Alg 3 lines 8–10: thresholding with control.
+		// --- Alg 3 lines 8–10: thresholding with control ---
 		if thresholdOn && mu > 0 {
+			c.Compute(2*float64(s.NNZ())/float64(p), "threshold")
 			var kept, dropped *sparse.CSR
 			if opts.Threshold == AggressiveThreshold {
 				budget := phi*phi - t2
@@ -398,20 +461,26 @@ func Factor(a *sparse.CSR, opts Options) (*Result, error) {
 		}
 		acur = s
 		res.ErrIndicator = e
+		if opts.Checkpoint != nil && opts.CheckpointEvery > 0 && iter%opts.CheckpointEvery == 0 {
+			opts.Checkpoint.Save(iter, c.Rank(), &luSnapshot{
+				acur: acur.Clone(),
+				lEnt: append([]entry(nil), lEnt...),
+				uEnt: append([]entry(nil), uEnt...),
+				tEnt: append([]entry(nil), tEnt...),
+				z:    z,
+				mu:   mu,
+				phi:  phi,
+				t2:   t2,
+				res:  res.snapshot(),
+			})
+		}
 	}
 	if len(res.ErrHistory) > 0 {
 		res.ErrIndicator = res.ErrHistory[len(res.ErrHistory)-1]
 	}
-	res.L, res.U = assembleFactors(lEnt, uEnt, rowOrder, colOrder, m, n, res.Rank)
+	rowPos, colPos := inverse(rowOrder), inverse(colOrder)
+	res.L, res.U = assembleFactors(lEnt, uEnt, rowPos, colPos, m, n, res.Rank)
 	if opts.CaptureDropped {
-		rowPos := make([]int, m)
-		for p, orig := range rowOrder {
-			rowPos[orig] = p
-		}
-		colPos := make([]int, n)
-		for p, orig := range colOrder {
-			colPos[orig] = p
-		}
 		tb := sparse.NewBuilder(m, n)
 		for _, e := range tEnt {
 			tb.Add(rowPos[e.i], colPos[e.j], e.v)
@@ -419,6 +488,60 @@ func Factor(a *sparse.CSR, opts Options) (*Result, error) {
 		res.Dropped = tb.ToCSR()
 	}
 	return res, nil
+}
+
+// fillReducingOrder computes the COLAMD + etree-postorder column
+// permutation of a. COLAMD is "a local, intrinsically sequential
+// reordering heuristic" (§V): rank 0 computes it and broadcasts it.
+func fillReducingOrder(c *dist.Comm, a *sparse.CSR) []int {
+	var perm []int
+	if c.Rank() == 0 {
+		perm = ordering.FillReducingOrder(a)
+		c.Compute(float64(8*a.NNZ()), "colamd")
+	}
+	// Clone the broadcast slice: ranks mutate their permutation vectors
+	// in place, and message payloads share backing arrays.
+	return append([]int(nil), c.Bcast(0, perm, 8*a.Cols).([]int)...)
+}
+
+// gatherRows allgathers the ranks' row blocks of a rows×cols matrix and
+// stacks them in rank order. A lone block is returned as is.
+func gatherRows(c *dist.Comm, mine *sparse.CSR, rows, cols int) *sparse.CSR {
+	parts := c.Allgather(mine, 12*mine.NNZ())
+	if len(parts) == 1 {
+		return mine
+	}
+	if rows == 0 {
+		return sparse.NewCSR(0, cols)
+	}
+	blocks := make([]*sparse.CSR, len(parts))
+	for r, part := range parts {
+		blocks[r] = part.(*sparse.CSR)
+	}
+	return sparse.VStackCSR(blocks...)
+}
+
+// luSnapshot is one rank's LU_CRTP/ILUT_CRTP loop state at an iteration
+// boundary. The loop is fully replicated, so every rank snapshots the
+// same values; all fields are deep copies.
+type luSnapshot struct {
+	acur             *sparse.CSR
+	lEnt, uEnt, tEnt []entry
+	z                int
+	mu, phi, t2      float64
+	res              Result
+}
+
+// snapshot deep-copies the loop-carried fields of r.
+func (r *Result) snapshot() Result {
+	s := *r
+	s.RowPerm = append([]int(nil), r.RowPerm...)
+	s.ColPerm = append([]int(nil), r.ColPerm...)
+	s.ErrHistory = append([]float64(nil), r.ErrHistory...)
+	s.FillHistory = append([]float64(nil), r.FillHistory...)
+	s.NNZHistory = append([]int(nil), r.NNZHistory...)
+	s.TimeHistory = append([]time.Duration(nil), r.TimeHistory...)
+	return s
 }
 
 // ThresholdedError evaluates eq (10) exactly for a run with
@@ -437,15 +560,7 @@ func ThresholdedError(a *sparse.CSR, res *Result) float64 {
 
 // assembleFactors maps the buffered entries from original coordinates to
 // the final permuted positions and builds CSR factors.
-func assembleFactors(lEnt, uEnt []entry, rowOrder, colOrder []int, m, n, rank int) (l, u *sparse.CSR) {
-	rowPos := make([]int, m)
-	for p, orig := range rowOrder {
-		rowPos[orig] = p
-	}
-	colPos := make([]int, n)
-	for p, orig := range colOrder {
-		colPos[orig] = p
-	}
+func assembleFactors(lEnt, uEnt []entry, rowPos, colPos []int, m, n, rank int) (l, u *sparse.CSR) {
 	lb := sparse.NewBuilder(m, rank)
 	for _, e := range lEnt {
 		lb.Add(rowPos[e.i], e.j, e.v)
@@ -455,6 +570,16 @@ func assembleFactors(lEnt, uEnt []entry, rowOrder, colOrder []int, m, n, rank in
 		ub.Add(e.i, colPos[e.j], e.v)
 	}
 	return lb.ToCSR(), ub.ToCSR()
+}
+
+// inverse returns the inverse of the permutation order: the position of
+// each original id.
+func inverse(order []int) []int {
+	pos := make([]int, len(order))
+	for p, orig := range order {
+		pos[orig] = p
+	}
+	return pos
 }
 
 // applyTail permutes the tail (positions ≥ z) of order by the local

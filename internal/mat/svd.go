@@ -128,49 +128,6 @@ func SingularValues(a *Dense) []float64 {
 	return SingularValuesGK(a)
 }
 
-// Norm2Est estimates the spectral norm ‖A‖₂ by power iteration on AᵀA,
-// accurate to the given relative tolerance (used by the analysis checks
-// around eqs 15 and 23, where the paper approximates ‖A‖₂ by
-// |R⁽¹⁾(1,1)|).
-func Norm2Est(a *Dense, tol float64, maxIter int) float64 {
-	m, n := a.Dims()
-	if m == 0 || n == 0 {
-		return 0
-	}
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	if maxIter <= 0 {
-		maxIter = 200
-	}
-	x := make([]float64, n)
-	for i := range x {
-		// A deterministic, non-degenerate start vector.
-		x[i] = 1 + float64(i%7)/7
-	}
-	nx := Nrm2(x)
-	for i := range x {
-		x[i] /= nx
-	}
-	prev := 0.0
-	for it := 0; it < maxIter; it++ {
-		y := MulTVec(a, MulVec(a, x))
-		lam := Nrm2(y)
-		if lam == 0 {
-			return 0
-		}
-		for i := range x {
-			x[i] = y[i] / lam
-		}
-		s := math.Sqrt(lam)
-		if math.Abs(s-prev) <= tol*s {
-			return s
-		}
-		prev = s
-	}
-	return prev
-}
-
 // SymEigenValues returns the eigenvalues of the symmetric matrix g using
 // the cyclic Jacobi eigenvalue method. Order is unspecified.
 func SymEigenValues(g *Dense) []float64 {

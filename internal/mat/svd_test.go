@@ -188,32 +188,6 @@ func TestSymEigenValuesTraceInvariant(t *testing.T) {
 	}
 }
 
-func TestNorm2EstMatchesSVD(t *testing.T) {
-	f := func(seed int64) bool {
-		a := randDense(15, 11, seed)
-		_, s, _ := SVD(a)
-		est := Norm2Est(a, 1e-10, 500)
-		return math.Abs(est-s[0]) < 1e-6*s[0]
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNorm2EstEdgeCases(t *testing.T) {
-	if Norm2Est(NewDense(0, 3), 0, 0) != 0 {
-		t.Fatal("empty matrix should give 0")
-	}
-	if Norm2Est(NewDense(4, 4), 0, 0) != 0 {
-		t.Fatal("zero matrix should give 0")
-	}
-	d := NewDense(3, 3)
-	d.Set(1, 1, 7)
-	if got := Norm2Est(d, 1e-12, 100); math.Abs(got-7) > 1e-9 {
-		t.Fatalf("diagonal spectral norm %v, want 7", got)
-	}
-}
-
 func TestSVDZeroMatrix(t *testing.T) {
 	a := NewDense(4, 3)
 	_, s, _ := SVD(a)

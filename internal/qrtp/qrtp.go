@@ -205,9 +205,11 @@ func Permutation(winners []int, n int) []int {
 	return perm
 }
 
-// SelectRowsDense runs a tournament on the rows of a dense matrix q (used
-// by LU_CRTP on Q_kᵀ to obtain the row permutation P_r): it selects the k
-// most linearly independent rows of q.
+// SelectRowsDense runs the sequential binary tournament on the rows of a
+// dense matrix q and returns the k most linearly independent rows. It
+// picks the same rows as LU_CRTP's row tournament on one rank; LU_CRTP
+// itself calls SelectColumnsDistLabeled, and this entry point is kept for
+// the perfbench probes.
 func SelectRowsDense(q *mat.Dense, k int) []int {
 	qt := sparse.FromDense(q.T(), 0).ToCSC()
 	res := SelectColumns(qt, k, Binary)
@@ -320,7 +322,7 @@ func (t *tournament) local(c *dist.Comm, myCols []int, label string) []int {
 // BlockCyclicColumns returns the column ids owned by the given rank under
 // a block-cyclic distribution with the given block width.
 func BlockCyclicColumns(n, p, rank, block int) []int {
-	var cols []int
+	cols := make([]int, 0, n/p+block)
 	for start := rank * block; start < n; start += p * block {
 		for j := start; j < start+block && j < n; j++ {
 			cols = append(cols, j)

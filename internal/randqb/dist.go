@@ -44,10 +44,10 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 		res.IndicatorUnreliable = true
 	}
 	// Row distribution of A and Q_K.
-	lo, hi := rowShare(m, p, c.Rank())
+	lo, hi := dist.RowShare(m, p, c.Rank())
 	aLoc := a.ExtractBlock(lo, hi, 0, n)
 	nnzLoc := float64(aLoc.NNZ())
-	nlo, nhi := rowShare(n, p, c.Rank()) // inner-dimension split for B_K·X
+	nlo, nhi := dist.RowShare(n, p, c.Rank()) // inner-dimension split for B_K·X
 
 	e := normA * normA
 	qKLoc := mat.NewDense(hi-lo, 0)
@@ -259,15 +259,4 @@ type qbSnapshot struct {
 	timeHistory   []time.Duration
 	orthLossFirst float64
 	orthLossLast  float64
-}
-
-func rowShare(rows, p, rank int) (lo, hi int) {
-	base := rows / p
-	rem := rows % p
-	lo = rank*base + min(rank, rem)
-	hi = lo + base
-	if rank < rem {
-		hi++
-	}
-	return lo, hi
 }

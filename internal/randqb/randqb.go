@@ -35,7 +35,9 @@ type Options struct {
 	// into Checkpoint at the end of every CheckpointEvery-th iteration.
 	// When Checkpoint already holds a complete snapshot (from a faulted
 	// run), FactorDist resumes from it and reproduces the uninterrupted
-	// result bit-identically. Ignored by the sequential Factor.
+	// result bit-identically. RandQB_EI's sequential Factor is a
+	// separate loop that does not checkpoint (DESIGN.md §4, "One loop
+	// per solver").
 	CheckpointEvery int
 	Checkpoint      *dist.CheckpointStore
 }

@@ -132,7 +132,7 @@ func distTSQR(c *dist.Comm, y *mat.Dense, kernel string) *mat.Dense {
 	if w == 0 {
 		return mat.NewDense(m, 0)
 	}
-	lo, hi := rowShare(m, p, c.Rank())
+	lo, hi := dist.RowShare(m, p, c.Rank())
 	qLoc := distTSQRLocal(c, y.View(lo, 0, hi-lo, w).Clone(), m, kernel)
 	if p == 1 {
 		return qLoc

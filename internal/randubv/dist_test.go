@@ -2,44 +2,86 @@ package randubv
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"sparselr/internal/dist"
+	"sparselr/internal/mat"
+	"sparselr/internal/sketch"
+	"sparselr/internal/sparse"
 )
 
+// TestFactorDistMatchesSequential checks, for the options that change
+// the iteration, that one rank gives Factor's result bit for bit. More
+// ranks reassociate the Aᵀ·U sums, so their approximation must agree to
+// roundoff.
 func TestFactorDistMatchesSequential(t *testing.T) {
-	a := decayMatrix(60, 50, 30, 0.6, 21)
-	opts := Options{BlockSize: 8, Tol: 1e-3, Seed: 22}
-	seq, err := Factor(a, opts)
-	if err != nil {
-		t.Fatal(err)
+	lowRank := decayMatrix(60, 50, 30, 0.6, 21)
+	cases := []struct {
+		name string
+		a    *sparse.CSR
+		opts Options
+	}{
+		{"plain", lowRank, Options{BlockSize: 8, Tol: 1e-3, Seed: 22}},
+		{"max-rank", lowRank, Options{BlockSize: 8, Tol: 1e-6, MaxRank: 20, Seed: 22}},
+		{"deflation", decayMatrix(40, 40, 10, 0.5, 23), Options{BlockSize: 8, Tol: 1e-14, Seed: 24}},
+		{"sparse-sign", lowRank, Options{BlockSize: 6, Tol: 1e-3, Seed: 22, Sketch: sketch.SparseSign, SketchNNZ: 3}},
 	}
-	for _, p := range []int{1, 2, 4} {
-		var got *Result
-		dist.Run(p, dist.DefaultConfig(), func(c *dist.Comm) {
-			r, err := FactorDist(c, a, opts)
-			if err != nil {
-				t.Errorf("p=%d: %v", p, err)
-				return
-			}
-			if c.Rank() == 0 {
-				got = r
-			}
-		})
-		if got == nil {
-			t.Fatalf("p=%d: no result", p)
+	for _, tc := range cases {
+		seq, err := Factor(tc.a, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got.Rank != seq.Rank || got.Iters != seq.Iters {
-			t.Fatalf("p=%d: rank/iters %d/%d vs %d/%d", p, got.Rank, got.Iters, seq.Rank, seq.Iters)
-		}
-		// The approximation (not the individual factors, which may pick
-		// equivalent bases) must agree to roundoff.
-		diff := seq.Approx()
-		diff.Sub(got.Approx())
-		if diff.FrobNorm() > 1e-8*seq.NormA {
-			t.Fatalf("p=%d: approximations diverge by %v", p, diff.FrobNorm())
+		for _, p := range []int{1, 2, 4} {
+			var got *Result
+			dist.Run(p, dist.DefaultConfig(), func(c *dist.Comm) {
+				r, err := FactorDist(c, tc.a, tc.opts)
+				if err != nil {
+					t.Errorf("%s p=%d: %v", tc.name, p, err)
+					return
+				}
+				if c.Rank() == 0 {
+					got = r
+				}
+			})
+			if got == nil {
+				t.Fatalf("%s p=%d: no result", tc.name, p)
+			}
+			if got.Rank != seq.Rank || got.Iters != seq.Iters {
+				t.Fatalf("%s p=%d: rank/iters %d/%d vs %d/%d", tc.name, p, got.Rank, got.Iters, seq.Rank, seq.Iters)
+			}
+			if len(got.TimeHistory) != got.Iters {
+				t.Errorf("%s p=%d: %d time samples for %d iterations", tc.name, p, len(got.TimeHistory), got.Iters)
+			}
+			if p == 1 {
+				if !sameDense(got.U, seq.U) || !sameDense(got.B, seq.B) || !sameDense(got.V, seq.V) ||
+					!slices.Equal(got.ErrHistory, seq.ErrHistory) || got.ErrIndicator != seq.ErrIndicator ||
+					got.Converged != seq.Converged {
+					t.Errorf("%s p=1: result differs from Factor", tc.name)
+				}
+				continue
+			}
+			// The approximation (not the individual factors, which may
+			// pick equivalent bases) must agree to roundoff.
+			diff := seq.Approx()
+			diff.Sub(got.Approx())
+			if diff.FrobNorm() > 1e-8*seq.NormA {
+				t.Fatalf("%s p=%d: approximations diverge by %v", tc.name, p, diff.FrobNorm())
+			}
 		}
 	}
+}
+
+func sameDense(a, b *mat.Dense) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for i := 0; i < a.Rows; i++ {
+		if !slices.Equal(a.Row(i), b.Row(i)) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestFactorDistConvergesAndVerifies(t *testing.T) {

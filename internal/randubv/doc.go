@@ -5,7 +5,8 @@
 // reorthogonalization, using the same Frobenius error indicator family as
 // RandQB_EI.
 //
-// The paper evaluates RandUBV sequentially (a parallel version is named
-// as future work), so only a sequential driver is provided; its
+// The paper evaluates RandUBV sequentially and names a parallel version
+// as future work. Here one loop serves both: FactorDist runs it on the
+// ranks of a dist.Comm, and Factor runs it on one rank. Its
 // per-iteration work matches RandQB_EI with p = 0 (§IV).
 package randubv

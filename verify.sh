@@ -2,7 +2,8 @@
 # Repo verification gate. Runs, in order:
 #   1. gofmt -l (tree must be gofmt-clean)
 #   2. go vet ./...
-#   3. go build ./...
+#   3. go build ./..., then go build + go vet inside perfbench/ (a
+#      nested module, so the root build never compiles it)
 #   4. go test ./...           (tier-1)
 #   5. go test -race over the packages with parallel kernels, the
 #      fault-injection paths, the sketch layer and the serving layer
@@ -76,6 +77,9 @@ go vet ./...
 
 echo "== go build ./..."
 go build ./...
+
+echo "== perfbench build + vet (nested module)"
+(cd perfbench && go build -o /dev/null ./... && go vet ./...)
 
 echo "== go test ./..."
 go test -timeout "${TESTTIMEOUT:-10m}" ./...
