@@ -263,17 +263,13 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 		colRes := qrtp.SelectColumnsDist(c, csc, myCols, keff)
 		lcp := qrtp.Permutation(colRes.Winners, ncur)
 		// Column permutations are implicit during tournament pivoting
-		// (Fig 5 caption) — no kernel charge.
-		acur = acur.PermuteCols(lcp)
+		// (Fig 5 caption) — no kernel charge, and no permuted copy: the
+		// blocks are read through inverse(lcp) below.
 		applyTail(colOrder, z, lcp)
 
 		// --- Line 6: panel QR on the winning columns (owner computes,
 		// then the orthogonal panel is scattered, §V) ---
-		panelCols := make([]int, keff)
-		for t := range panelCols {
-			panelCols[t] = t
-		}
-		panel := acur.ExtractColsDense(panelCols)
+		panel := csc.ExtractColsDense(colRes.Winners)
 		if c.Rank() == 0 {
 			panelNNZ := 0
 			for _, v := range panel.Data {
@@ -340,17 +336,20 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 		lrp := qrtp.Permutation(rowRes.Winners, mcur)
 		// Local row permutations of A⁽ⁱ⁾ after row QR_TP are one of the
 		// expensive kernels when fill-in is large (Fig 5): each rank
-		// permutes its share of the nonzeros.
+		// permutes its share of the nonzeros. The model keeps charging
+		// them; here the blocks are read through lrp instead.
 		c.Compute(4*float64(acur.NNZ())/float64(p), "rowPerm")
-		acur = acur.PermuteRows(lrp)
 		qk = qk.PermuteRows(lrp)
 		applyTail(rowOrder, z, lrp)
 
-		// --- Line 8: partition Ā. Each rank owns rows [lo, hi) of the
-		// trailing block rows Ā₂₁ and Ā₂₂ ---
+		// --- Line 8: partition Ā = P_r·A⁽ⁱ⁾·P_c, read in place. Each
+		// rank owns rows [lo, hi) of the trailing block rows Ā₂₁ and
+		// Ā₂₂. Non-winners keep their order (qrtp.Permutation), so only
+		// the winners left over by the rank guard need a sort ---
+		ab := sparse.PermutedView{A: acur, Rows: lrp, ColPos: inverse(lcp), Sorted: len(colRes.Winners)}
 		lo, hi := dist.RowShare(mcur-keff, p, c.Rank())
-		a11 := acur.ExtractBlock(0, keff, 0, keff).ToDense()
-		a12 := acur.ExtractBlock(0, keff, keff, ncur)
+		a11 := ab.DenseBlock(0, keff, 0, keff)
+		a12 := ab.Block(0, keff, keff, ncur)
 
 		// --- Line 10: X = Ā₂₁Ā₁₁⁻¹ (or the stable Q-based form): Ā₂₁
 		// scattered by rows, Ā₁₁ broadcast, result allgathered (§V) ---
@@ -360,7 +359,7 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 			myA21 = qk.View(keff+lo, 0, hi-lo, keff).Clone()
 			pivot = qk.View(0, 0, keff, keff).Clone()
 		} else {
-			myA21 = acur.ExtractBlock(keff+lo, keff+hi, 0, keff).ToDense()
+			myA21 = ab.DenseBlock(keff+lo, keff+hi, 0, keff)
 			pivot = a11
 		}
 		myX, err := mat.SolveRight(myA21, pivot)
@@ -393,11 +392,11 @@ func FactorDist(c *dist.Comm, a *sparse.CSR, opts Options) (*Result, error) {
 			}
 		}
 
-		// --- Line 12: Schur complement. Each rank computes its row
-		// share, then an Allgather distributes S (§V) ---
-		myA22 := acur.ExtractBlock(keff+lo, keff+hi, keff, ncur)
-		c.Compute(sparse.SpGEMMFlops(myXsp, a12)+2*float64(myA22.NNZ()), "schur")
-		myS := sparse.Add(1, myA22, -1, sparse.SpGEMM(myXsp, a12))
+		// --- Line 12: Schur complement Ā₂₂ − X·Ā₁₂ in one fused pass.
+		// Each rank computes its row share, then an Allgather
+		// distributes S (§V) ---
+		myS, nnz22 := ab.Schur(keff+lo, keff+hi, keff, myXsp, a12)
+		c.Compute(sparse.SpGEMMFlops(myXsp, a12)+2*float64(nnz22), "schur")
 		s := gatherRows(c, myS, mcur-keff, ncur-keff)
 
 		e := s.FrobNorm()

@@ -1,10 +1,6 @@
 package ordering
 
-import (
-	"container/heap"
-
-	"sparselr/internal/sparse"
-)
+import "sparselr/internal/sparse"
 
 // COLAMD returns a fill-reducing column permutation of a. The result perm
 // satisfies: column j of the reordered matrix is column perm[j] of a.
@@ -48,31 +44,15 @@ func COLAMD(a *sparse.CSR) []int {
 		colRows[j] = live
 		return d
 	}
-	pq := make(colHeap, 0, n)
-	stamp := make([]int, n)
-	for j := 0; j < n; j++ {
-		stamp[j] = 1
-		pq = append(pq, colEntry{col: int32(j), deg: deg(j), stamp: 1})
-	}
-	heap.Init(&pq)
+	h := newDegreeHeap(n, deg)
 	perm := make([]int, 0, n)
-	// nextRow allocates ids for merged super-rows.
 	touched := make([]bool, n)
 	for len(perm) < n {
-		// Pop the current minimum, skipping stale heap entries.
-		var e colEntry
-		for {
-			e = heap.Pop(&pq).(colEntry)
-			if !eliminated[e.col] && e.stamp == stamp[e.col] {
-				break
-			}
-		}
-		j := int(e.col)
+		j := h.pop()
 		eliminated[j] = true
 		perm = append(perm, j)
 		// Merge all live rows containing j into one super-row.
 		var merged []int32
-		affected := make([]int32, 0, 16)
 		for _, r := range colRows[j] {
 			if !alive[r] {
 				continue
@@ -85,7 +65,6 @@ func COLAMD(a *sparse.CSR) []int {
 				if !touched[c] {
 					touched[c] = true
 					merged = append(merged, c)
-					affected = append(affected, c)
 				}
 			}
 			rowPat[r] = nil
@@ -100,39 +79,100 @@ func COLAMD(a *sparse.CSR) []int {
 				colRows[c] = append(colRows[c], rid)
 			}
 		}
-		// Refresh degrees of affected columns.
-		for _, c := range affected {
+		// Refresh the degrees of the columns the merge touched.
+		for _, c := range merged {
 			touched[c] = false
-			stamp[c]++
-			heap.Push(&pq, colEntry{col: c, deg: deg(int(c)), stamp: stamp[c]})
+			h.update(int(c), deg(int(c)))
 		}
 	}
 	return perm
 }
 
-type colEntry struct {
-	col   int32
-	deg   int
-	stamp int
+// degreeHeap is an indexed binary min-heap over the live columns, keyed
+// by (degree, column): the column tie-break makes every key unique, so
+// the pop order depends only on the degrees, never on the heap's shape.
+// Each column holds exactly one slot; a degree change moves it in place.
+type degreeHeap struct {
+	cols []int32 // heap slots
+	pos  []int32 // pos[j]: slot of column j
+	deg  []int   // deg[j]: current degree of column j
 }
 
-type colHeap []colEntry
-
-func (h colHeap) Len() int { return len(h) }
-func (h colHeap) Less(a, b int) bool {
-	if h[a].deg != h[b].deg {
-		return h[a].deg < h[b].deg
+func newDegreeHeap(n int, deg func(j int) int) *degreeHeap {
+	h := &degreeHeap{cols: make([]int32, n), pos: make([]int32, n), deg: make([]int, n)}
+	for j := 0; j < n; j++ {
+		h.cols[j] = int32(j)
+		h.pos[j] = int32(j)
+		h.deg[j] = deg(j)
 	}
-	return h[a].col < h[b].col // deterministic tie-break
+	for i := n/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	return h
 }
-func (h colHeap) Swap(a, b int)       { h[a], h[b] = h[b], h[a] }
-func (h *colHeap) Push(x interface{}) { *h = append(*h, x.(colEntry)) }
-func (h *colHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+func (h *degreeHeap) less(a, b int) bool {
+	ca, cb := h.cols[a], h.cols[b]
+	if h.deg[ca] != h.deg[cb] {
+		return h.deg[ca] < h.deg[cb]
+	}
+	return ca < cb
+}
+
+func (h *degreeHeap) swap(a, b int) {
+	h.cols[a], h.cols[b] = h.cols[b], h.cols[a]
+	h.pos[h.cols[a]] = int32(a)
+	h.pos[h.cols[b]] = int32(b)
+}
+
+func (h *degreeHeap) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			return
+		}
+		h.swap(i, parent)
+		i = parent
+	}
+}
+
+func (h *degreeHeap) down(i int) {
+	n := len(h.cols)
+	for {
+		small := i
+		if l := 2*i + 1; l < n && h.less(l, small) {
+			small = l
+		}
+		if r := 2*i + 2; r < n && h.less(r, small) {
+			small = r
+		}
+		if small == i {
+			return
+		}
+		h.swap(i, small)
+		i = small
+	}
+}
+
+// pop removes and returns the column with the smallest (degree, column).
+func (h *degreeHeap) pop() int {
+	j := h.cols[0]
+	last := len(h.cols) - 1
+	h.swap(0, last)
+	h.cols = h.cols[:last]
+	h.down(0)
+	return int(j)
+}
+
+// update sets the degree of live column j and restores the heap order.
+func (h *degreeHeap) update(j, d int) {
+	old := h.deg[j]
+	h.deg[j] = d
+	if d < old {
+		h.up(int(h.pos[j]))
+	} else if d > old {
+		h.down(int(h.pos[j]))
+	}
 }
 
 // ColEtree computes the column elimination tree of a, i.e. the

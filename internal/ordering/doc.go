@@ -9,5 +9,7 @@
 // Ng: eliminating a column merges every row containing it into a single
 // super-row (the QR/Cholesky fill model for AᵀA), and column degrees are
 // tracked with the approximate external degree bound Σ(len(row)−1) used
-// by the original algorithm.
+// by the original algorithm. The next column to eliminate comes from an
+// indexed min-heap keyed by (degree, column), one slot per live column,
+// so a degree change moves the column in place.
 package ordering

@@ -287,3 +287,24 @@ func TestSeedDriftLUCRTPDist(t *testing.T) {
 	})
 	checkDrift(t, "lucrtp_dist4", luDriftHash(r), 0xd2c794de6b40ecfe)
 }
+
+// TestSeedDriftLUCRTPNumRank pins LU_CRTP's last-block path: the fixture
+// has rank 13, so with k = 8 the second panel keeps only 5 significant
+// columns and the three leftover winners stay at the front of the
+// trailing block. The hash also covers the error history, which is the
+// only output of that last Schur complement.
+func TestSeedDriftLUCRTPNumRank(t *testing.T) {
+	r, err := lucrtp.Factor(driftMatrix(120, 100, 13, 0.75, 43), lucrtp.Options{BlockSize: 8, Tol: 1e-15, StopAtNumericalRank: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.HitNumRank || r.Rank != 13 || r.Iters != 2 {
+		t.Fatalf("fixture no longer cuts the second panel: rank %d after %d iterations, HitNumRank %v", r.Rank, r.Iters, r.HitNumRank)
+	}
+	w := newDriftHash()
+	w.u64(luDriftHash(r))
+	for _, e := range r.ErrHistory {
+		w.u64(math.Float64bits(e))
+	}
+	checkDrift(t, "lucrtp_numrank", w.sum(), 0xc3625b87e97fb9a4)
+}

@@ -26,7 +26,8 @@
 #      fleet-wide dedup, peer cache fill, kill-mid-wave rerouting and
 #      warm restart from -cachedir -> gateway req/s and peer-fill hit
 #      rate merged into BENCH_serve.json
-#  11. kernel micro-benchmarks -> BENCH_kernels.json (ns/op per kernel)
+#  11. kernel micro-benchmarks -> BENCH_kernels.json (ns/op per kernel),
+#      with a bytes/op ceiling on the end-to-end LU_CRTP solve
 #  12. dist collective micro-benchmarks (traced vs untraced) -> BENCH_dist.json
 #  13. sketch micro-benchmarks -> BENCH_sketch.json (ns/op + allocs/op),
 #      asserting SparseSign apply >= 3x faster than Gaussian and
@@ -155,6 +156,7 @@ if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
             first = 0
             printf "  \"%s\": {\"iters\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", name, $2, $3, $5, $7
             ns[name] = $3
+            bytes[name] = $5
         }
         function ratio(label, ser, par) {
             if (ns[ser] > 0 && ns[par] > 0) {
@@ -199,6 +201,19 @@ if [[ "${SKIP_BENCH:-0}" != "1" ]]; then
             }
             if (ns["KernelSpMMT"] * 0.9 > ns["KernelSpMMTSerial"]) {
                 printf "KernelSpMMT (%s ns/op) regressed below 0.9x of serial (%s ns/op)\n", ns["KernelSpMMT"], ns["KernelSpMMTSerial"] > "/dev/stderr"
+                exit 1
+            }
+            # Gate 1c: LU_CRTP reads its blocks in place and writes the
+            # Schur complement once, so the end-to-end solve allocates
+            # 400.7 MB/op (403.3 MB at most over GOMAXPROCS 1, 2, 4, 8;
+            # 1,356.8 MB with the permuted copies). The ceiling is that
+            # maximum plus 10%. Allocation moves by under 1% with the
+            # core count, so this gate runs everywhere.
+            if (bytes["KernelSolveLUCRTP"] == "") {
+                print "missing KernelSolveLUCRTP benchmark" > "/dev/stderr"; exit 1
+            }
+            if (bytes["KernelSolveLUCRTP"] > 443600000) {
+                printf "KernelSolveLUCRTP allocates %s B/op, above the 443,600,000 B/op ceiling\n", bytes["KernelSolveLUCRTP"] > "/dev/stderr"
                 exit 1
             }
             # Parallel-speedup gates need real cores; skipped below 4 CPUs.
